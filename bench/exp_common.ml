@@ -78,6 +78,21 @@ let ms_of ns = float_of_int ns /. 1e6
 let check_shape what ok =
   Printf.printf "  [%s] %s\n%!" (if ok then "OK" else "MISS") what
 
+(* A hard gate: printed like [check_shape], but a miss also fails the
+   experiment — [exit_if_failed] ends it with exit 1 once its report is
+   written, so CI steps that run it assert the gates. *)
+let failed = ref false
+
+let gate what ok =
+  check_shape what ok;
+  if not ok then failed := true
+
+let exit_if_failed msg =
+  if !failed then begin
+    Printf.printf "%s\n%!" msg;
+    exit 1
+  end
+
 (* One "host" JSON object for every BENCH_*.json file, so trajectory
    entries are comparable across machines. *)
 let host_json () =

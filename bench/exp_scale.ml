@@ -1,18 +1,22 @@
-(* scale: the sharded engine driving machines past the Butterfly.
+(* scale: the sharded driver running machines past the Butterfly.
 
-   Three message-level workloads (remote word traffic, shootdown storms,
-   RPC echo) run on hierarchical machines of hundreds to a thousand nodes,
-   with the event queue split into shards ([--shards]) advanced by the
-   domain pool ([-j]).  Two things are measured:
+   Four message-level workloads (remote word traffic, shootdown storms,
+   RPC echo, open-loop serving) and the hosted kernel run on hierarchical
+   machines of hundreds to a thousand nodes, one engine per node, grouped
+   into shards ([--shards]) advanced by the domain pool ([-j]).  Two
+   things are measured:
 
    - determinism: every workload's fingerprint is byte-identical across a
-     (shards x domains) grid — the sharded engine's load-bearing contract,
+     (shards x domains) grid — the sharded driver's load-bearing contract,
      asserted on every host (a 1-core machine still runs the domains);
    - throughput: host events/sec and simulated-words/sec per topology at
      the configured shard/domain counts, landing in BENCH_scale.json.
 
+   The fingerprint-identity and oracle-verification checks are hard gates:
+   a miss makes the experiment exit 1 after BENCH_scale.json is written.
+
    The JSON is labelled "parallelism": "shard" — intra-simulation
-   parallelism, one event queue split across domains — as opposed to
+   parallelism, one simulation split across domains — as opposed to
    BENCH_sweep.json's "grid" (independent simulations side by side), so
    the two speedup kinds stay comparable but never conflated.  The shard
    speedup comparison itself is only asserted where the host has the
@@ -38,7 +42,7 @@ let determinism_ok ~config ~ops =
       in
       let fps = List.map fp det_grid in
       let ok = List.for_all (( = ) (List.hd fps)) fps in
-      check_shape
+      gate
         (Printf.sprintf "%-7s fingerprint identical over shards x domains %s"
            (Scale.workload_name w)
            (String.concat " "
@@ -124,7 +128,7 @@ let kernel_determinism_ok ~config =
       in
       let fps = List.map fp det_grid in
       let ok = List.for_all (( = ) (List.hd fps)) fps in
-      check_shape
+      gate
         (Printf.sprintf
            "kernel %-8s fingerprint identical over shards x domains %s (2%% injection)"
            (Parkernel.workload_name w)
@@ -198,7 +202,7 @@ let run (scale : scale) =
       let speedup = s1.wall_s /. sp.wall_s in
       Printf.printf "\n  traffic/%d nodes, %d shards: 1 domain %.3f s, %d domains %.3f s (%.2fx)\n"
         nodes pool s1.wall_s pool sp.wall_s speedup;
-      check_shape "sharded run byte-identical at 1 domain vs pool"
+      gate "sharded run byte-identical at 1 domain vs pool"
         (s1.r.Scale.fingerprint = sp.r.Scale.fingerprint);
       if Par.default_jobs () >= 4 then
         check_shape "shard pool at least breaks even on a >=4-core host"
@@ -207,8 +211,7 @@ let run (scale : scale) =
     end
   in
   (match identical with
-  | Some ok ->
-    check_shape "fingerprints identical across the shards x domains grid" ok
+  | Some ok -> gate "fingerprints identical across the shards x domains grid" ok
   | None -> ());
   check_shape
     (Printf.sprintf "largest topology >= 256 nodes (%d)"
@@ -255,7 +258,7 @@ let run (scale : scale) =
     krows;
   List.iter
     (fun (gb, { kr = r; _ }) ->
-      check_shape
+      gate
         (Printf.sprintf "kernel %s/%d nodes%s oracle-verified" r.Parkernel.workload
            r.Parkernel.nodes
            (if gb then " (GB span)" else ""))
@@ -287,7 +290,7 @@ let run (scale : scale) =
       Printf.printf
         "\n  jacobi/%d nodes, %d shards: 1 domain %.3f s, %d domains %.3f s (%.2fx)\n"
         nodes pool k1.k_wall_s pool kp.k_wall_s speedup;
-      check_shape "hosted kernel byte-identical at 1 domain vs pool"
+      gate "hosted kernel byte-identical at 1 domain vs pool"
         (k1.kr.Parkernel.fingerprint = kp.kr.Parkernel.fingerprint);
       if Par.default_jobs () >= 4 then
         check_shape "kernel shard pool at least breaks even on a >=4-core host"
@@ -295,8 +298,7 @@ let run (scale : scale) =
       Some speedup
     end
   in
-  check_shape "kernel fingerprints identical across the shards x domains grid"
-    kernel_identical;
+  gate "kernel fingerprints identical across the shards x domains grid" kernel_identical;
 
   let null_or_speedup = function
     | Some s -> Printf.sprintf "%.2f" s
@@ -335,4 +337,5 @@ let run (scale : scale) =
     (null_or_speedup kernel_shard_speedup)
     (String.concat ",\n" (List.map (fun (gb, k) -> krow_json ~gb k) krows));
   close_out oc;
-  Printf.printf "  wrote BENCH_scale.json\n%!"
+  Printf.printf "  wrote BENCH_scale.json\n%!";
+  exit_if_failed "SCALE_FAIL: a fingerprint-identity or oracle-verification gate missed"

@@ -44,12 +44,6 @@ module Inject = Platinum_sim.Inject
 
 let seed = 42L
 
-let failed = ref false
-
-let gate what ok =
-  check_shape what ok;
-  if not ok then failed := true
-
 (* --- topologies --- *)
 
 let topologies = [ ("flat16", Config.butterfly_plus ()); ("hier64", Config.hierarchical ~cluster_size:8 ~nodes:64 ()) ]
@@ -321,7 +315,4 @@ let run (scale : scale) =
     (String.concat ",\n" mesh_json);
   close_out oc;
   Printf.printf "  wrote BENCH_serve.json\n%!";
-  if !failed then begin
-    Printf.printf "SERVE_FAIL: a determinism, monotonicity or coverage gate missed\n%!";
-    exit 1
-  end
+  exit_if_failed "SERVE_FAIL: a determinism, monotonicity or coverage gate missed"

@@ -70,7 +70,7 @@ val post_run_checks : t -> Platinum_sim.Time_ns.t
     raises {!Thread_failure} if any thread raised, {!Deadlock} if
     unfinished threads remain, and otherwise returns the time the last
     thread finished.  For drivers that advance the engine externally —
-    per-node kernels hosted under {!Platinum_sim.Shard.run_hosted}. *)
+    per-node kernels hosted under {!Platinum_sim.Shard.run}. *)
 
 val threads_created : t -> int
 val context_switches : t -> int

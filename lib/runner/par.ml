@@ -13,10 +13,10 @@ let get_jobs () =
 
 (* Intra-simulation sharding (Sim.Shard) is a different parallelism axis
    from the grid pool above: jobs = independent simulations side by side,
-   shards = one simulation's event queue split across domains.  The bench
-   harness records them separately ("grid" vs "shard" in the BENCH JSON)
-   so the two kinds of speedup are never conflated.  0 = unset = 1 shard
-   (today's sequential engine, bit for bit). *)
+   shards = one simulation's per-node engines split across domains.  The
+   bench harness records them separately ("grid" vs "shard" in the BENCH
+   JSON) so the two kinds of speedup are never conflated.  0 = unset = 1
+   shard. *)
 let shards_setting = Atomic.make 0
 
 let set_shards n =

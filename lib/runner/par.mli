@@ -32,8 +32,8 @@ val get_jobs : unit -> int
 
     A second, independent parallelism axis: [jobs] fans {e independent}
     simulations over a grid, while [shards] splits {e one} simulation's
-    event queue across domains ({!Platinum_sim.Shard}).  Speedup from the
-    two must never be conflated — the bench harness labels them ["grid"]
+    per-node engines across domains ({!Platinum_sim.Shard}).  Speedup
+    from the two must never be conflated — the bench harness labels them ["grid"]
     (BENCH_sweep.json) and ["shard"] (BENCH_scale.json) respectively.
     The setting is plumbing for the harness's [--shards] flag; simulation
     results are identical at any shard count. *)

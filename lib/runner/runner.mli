@@ -74,8 +74,8 @@ val speedup :
     The T1/Tp here is {e simulated} speedup of the modelled application;
     the [?jobs] pool is {e grid-level host} parallelism (independent
     cells side by side) and never changes any returned number.  Neither is
-    intra-simulation sharding — one simulation's event queue split across
-    domains ({!Platinum_sim.Shard}, [Par.set_shards]) — whose host
+    intra-simulation sharding — one simulation's per-node engines split
+    across domains ({!Platinum_sim.Shard}, [Par.set_shards]) — whose host
     wall-clock lives in BENCH_scale.json under ["parallelism": "shard"],
     distinct from the grid pool's BENCH_sweep.json ["grid"] numbers. *)
 

@@ -671,7 +671,7 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
              done))
     done);
   let setup_ms = (Sys.time () -. t0) *. 1000. in
-  Shard.run_hosted ~domains hosted;
+  Shard.run ~domains hosted;
   Array.iter (fun nd -> ignore (Kernel.post_run_checks (kernel_of nd))) nodes;
   (* --- verification against a host-side oracle --- *)
   let verified =
@@ -768,15 +768,15 @@ let run ?check ?(shards = 1) ?(domains = 1) ?(inject_rate = 0.0) ?(seed = 42L) ?
         Flat.iter (fun _ hp -> if Array.length hp.hdata > 0 then incr k) nd.homes;
         !k)
   in
-  let eff_shards = Shard.hosted_shards hosted in
+  let eff_shards = Shard.shards hosted in
   {
     workload = workload_name workload;
     nodes = n;
     run_shards = eff_shards;
     run_domains = max 1 (min domains eff_shards);
-    events = Shard.hosted_events hosted;
-    windows = Shard.hosted_windows hosted;
-    clock = Shard.hosted_clock hosted;
+    events = Shard.events hosted;
+    windows = Shard.windows hosted;
+    clock = Shard.clock hosted;
     reads = sum (fun nd -> nd.c.reads);
     writes = sum (fun nd -> nd.c.writes);
     replications = sum (fun nd -> nd.c.replications);

@@ -2,14 +2,15 @@
 
     The kernel simulation charges cross-node costs arithmetically inside
     one event; these workloads instead decompose them into real messages
-    over the sharded engine ({!Platinum_sim.Shard}): a remote word access
-    is a request event at the home node — served against the home module's
-    queue, through the home node's fault plane — and a response event back;
-    a shootdown is an IPI event per target with the ack riding back; an
-    RPC is a request/response pair against per-cluster servers.  All of it
-    flows through the shard mailboxes, which is what lets one simulation
-    spread over OCaml 5 domains and scale to hundreds or thousands of
-    nodes ({!Platinum_machine.Config.hierarchical}).
+    between per-node engines hosted by the sharded driver
+    ({!Platinum_sim.Shard}): a remote word access is a request event at
+    the home node — served against the home module's queue, through the
+    home node's fault plane — and a response event back; a shootdown is
+    an IPI event per target with the ack riding back; an RPC is a
+    request/response pair against per-cluster servers.  All of it is
+    [Engine.post] traffic through the shard mailboxes, which is what lets
+    one simulation spread over OCaml 5 domains and scale to hundreds or
+    thousands of nodes ({!Platinum_machine.Config.hierarchical}).
 
     Determinism contract: a run is a pure function of
     [(workload, config, seed, inject_rate, ops_per_node)] — the shard
@@ -42,9 +43,9 @@ type result = {
   nodes : int;
   run_shards : int;  (** effective shard count (clamped to [nodes]) *)
   run_domains : int;
-  events : int;  (** events executed across all shards *)
+  events : int;  (** events executed across all engines *)
   windows : int;  (** conservative synchronization windows taken *)
-  clock : int;  (** final simulated time, ns *)
+  clock : int;  (** final simulated time, ns: the last window's end *)
   accesses : int;  (** completed word-burst accesses (Traffic) *)
   words : int;  (** simulated words moved *)
   remote : int;  (** accesses served by a remote home node *)

@@ -69,9 +69,9 @@ let schedule_after t ?daemon ?deferred ~delay f =
 
 (* The sharded façade: cross-node work is enqueued through [post], which a
    sharded driver can reroute into per-pair mailboxes (Shard).  With no
-   router installed — the whole sequential world, and any sharded run at
-   shard count 1 — [post] is exactly [schedule_after]: same queue, same
-   sequence numbers, byte-identical schedules. *)
+   router installed — the whole sequential world — [post] is exactly
+   [schedule_after]: same queue, same sequence numbers, byte-identical
+   schedules. *)
 let set_router t r = t.router <- r
 let router t = t.router
 

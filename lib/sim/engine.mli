@@ -46,17 +46,15 @@ val schedule_after :
     default [post] is {!schedule_after} on this engine's own queue — the
     strictly sequential world, unchanged.
 
-    Router-install lifecycle: exactly two drivers ever install a
-    {!router}, and both own the engine(s) for the whole run.
-    {!Shard.run} (the message-level mesh) keys events by source node and
-    carries them through per-pair mailboxes; {!Shard.host} does the same
-    for a group of per-node engines carrying full kernel simulations — it
-    installs a router on {e every} hosted engine at {!Shard.host} time so
-    that even setup-time posts take the deterministic mailbox path.  The
-    classic sequential entry points ({!run}, [Runner], a lone kernel on
-    one engine) install no router, and a router must be absent there: the
-    no-router schedule is the golden oracle that sharded runs are
-    measured against. *)
+    Router-install lifecycle: exactly one driver ever installs a
+    {!router}.  {!Shard.host} groups per-node engines — full kernel
+    simulations or mesh nodes — and installs a router on {e every} one of
+    them at {!Shard.host} time, so that even setup-time posts take the
+    deterministic mailbox path; the group owns the engines until
+    {!Shard.run} returns.  The classic sequential entry points ({!run},
+    [Runner], a lone kernel on one engine) install no router, and a
+    router must be absent there: the no-router schedule is the golden
+    oracle that sharded runs are measured against. *)
 
 type router = {
   route :

@@ -1,49 +1,45 @@
-(* The sharded peer of Engine: one simulation's event queue split into
-   per-node-cluster shards, advanced in parallel by OCaml 5 domains under
-   conservative time-window synchronization.
+(* The sharded driver: a group of per-node {!Engine.t}s — one complete
+   simulation per node, typically a whole kernel — advanced in parallel by
+   OCaml 5 domains under conservative time-window synchronization.
+
+   The group installs an {!Engine.router} on every engine, so every
+   [Engine.post] with [dst <> self] — kernel wakeups, protocol messages,
+   block-transfer completions, mesh requests — crosses through a
+   per-(shard,shard) mailbox.  Self-posts stay engine-local.
 
    Determinism contract — byte-identical output at ANY shard count and ANY
    domain count:
 
-   - Every event carries the key (time, src_node, src_seq), where src_seq
-     is drawn from a per-node counter at scheduling time.  A node's
-     counter is only ever advanced while one of that node's own events
-     runs (or during single-domain setup), so the keys an execution
+   - Every cross-node event carries the key (time, src_node, src_seq),
+     where src_seq is drawn from a per-node counter at posting time.  A
+     node's counter is only ever advanced while one of that node's own
+     events runs (or during single-domain setup), so the keys an execution
      produces are a pure function of the workload, not of the sharding.
-   - Each shard executes its events in strict key order.  Two events for
-     the same node therefore always run in the same relative order, and a
-     node's entire event history is identical whatever shard it lives on
-     and whoever drives that shard.
-   - Cross-shard events travel through per-(src,dst)-shard mailboxes and
-     are folded into the destination heap at window boundaries; since the
-     key rides along, arrival order through the mailbox is irrelevant.
+   - Cross-node events take the mailbox path even when src and dst share a
+     shard (and even at shard count 1).  A destination engine assigns its
+     internal sequence numbers as events arrive, so arrival order must be
+     a pure function of the workload: mailboxes are drained in global
+     (time, key) order at window boundaries, which is
+     shard-count-independent, whereas a same-shard shortcut would
+     interleave arrivals with the destination's own scheduling and make
+     sequence assignment depend on the shard map.
+
+   Hosted runs therefore follow a different (equally valid) schedule than
+   the same kernels on one engine with no router; the no-router sequential
+   world remains the golden oracle and is untouched by hosting.
 
    The conservative window: no event may affect another node sooner than
    [lookahead] ns (the machine's minimum cross-node latency — T_r, T_b and
    the IPI cost all bound it from above, Config.lookahead_ns).  Each round
-   every shard may therefore run all events in [m, m + lookahead), where m
+   every engine may therefore run all events in [m, m + lookahead), where m
    is the global minimum pending timestamp: any cross-node event posted
    during the round lands at or after m + lookahead.  Rounds are separated
    by a barrier; mailboxes are written only in run phases and drained only
    in drain phases, so each buffer has one owner at a time and the barrier
-   publishes it.
-
-   A single shard driven by one domain degenerates to a plain event loop
-   in (time, node, seq) order — no mailboxes, no windows cut short, no
-   barriers taken.
-
-   Packed keys: the heap's seq word carries (src_node lsl 36) lor src_seq.
-   With more than one node that exceeds Eheap's packed-seq range, so big
-   sharded runs execute in Eheap's two-array fallback mode — the
-   previously-untested headroom path, now load-bearing (and covered by
-   regression tests). *)
+   publishes it. *)
 
 let node_seq_bits = 36
 let max_node_seq = (1 lsl node_seq_bits) - 1
-
-type event = Time_ns.t -> unit
-
-let dummy_event (_ : Time_ns.t) = ()
 
 (* Mailbox for one (src shard, dst shard) pair.  Written by the source
    shard during run phases, drained and cleared by the destination shard
@@ -52,14 +48,25 @@ let dummy_event (_ : Time_ns.t) = ()
 type box = {
   mutable b_at : int array;
   mutable b_key : int array;
-  mutable b_fn : event array;
+  mutable b_dst : int array;
+  mutable b_flags : int array;  (* bit 0 daemon, bit 1 deferred *)
+  mutable b_fn : (unit -> unit) array;
   mutable b_len : int;
 }
 
-let box_create () =
-  { b_at = Array.make 8 0; b_key = Array.make 8 0; b_fn = Array.make 8 dummy_event; b_len = 0 }
+let nothing () = ()
 
-let box_push b ~at ~key fn =
+let box_create () =
+  {
+    b_at = Array.make 8 0;
+    b_key = Array.make 8 0;
+    b_dst = Array.make 8 0;
+    b_flags = Array.make 8 0;
+    b_fn = Array.make 8 nothing;
+    b_len = 0;
+  }
+
+let box_push b ~at ~key ~dst ~flags fn =
   let n = b.b_len in
   if n = Array.length b.b_at then begin
     let cap = 2 * n in
@@ -70,169 +77,160 @@ let box_push b ~at ~key fn =
     in
     b.b_at <- grow b.b_at 0;
     b.b_key <- grow b.b_key 0;
-    b.b_fn <- grow b.b_fn dummy_event
+    b.b_dst <- grow b.b_dst 0;
+    b.b_flags <- grow b.b_flags 0;
+    b.b_fn <- grow b.b_fn nothing
   end;
   b.b_at.(n) <- at;
   b.b_key.(n) <- key;
+  b.b_dst.(n) <- dst;
+  b.b_flags.(n) <- flags;
   b.b_fn.(n) <- fn;
   b.b_len <- n + 1
 
-type shard = {
-  sid : int;
-  heap : event Eheap.t;
-  mutable clock : Time_ns.t;  (* timestamp of the event being run *)
-  mutable processed : int;
-  mutable min_pending : Time_ns.t;  (* published at each barrier; max_int = empty *)
-}
-
 type t = {
-  nodes : int;
+  engines : Engine.t array;
   nshards : int;
   lookahead : Time_ns.t;
   check : bool;
-  shards_ : shard array;
-  node_shard : int array;  (* node -> shard *)
-  node_seq : int array;  (* node -> next seq (single-writer: owning shard) *)
+  node_shard : int array;
+  node_seq : int array;  (* single-writer: the node's own events *)
+  shard_nodes : int array array;  (* shard -> its nodes, ascending *)
   boxes : box array;  (* (src shard * nshards) + dst shard *)
   mutable windows : int;
-  mutable running : bool;
-  mutable window_end : Time_ns.t;  (* exclusive bound of the current run phase *)
+  mutable ran : bool;
 }
 
-let create ?check ~nodes ~shards ~lookahead () =
-  if nodes < 1 then invalid_arg "Shard.create: nodes must be >= 1";
-  if nodes > 1 lsl 25 then invalid_arg "Shard.create: too many nodes";
-  if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
-  if lookahead < 1 then invalid_arg "Shard.create: lookahead must be >= 1";
+(* The router for engine [node]: self-posts keep their engine-local
+   schedule; anything else draws a key from the node's counter and rides a
+   mailbox.  Only [node]'s own events (or pre-run setup, which is
+   single-domain) may reach this — the counter is single-writer. *)
+let route t ~node ~dst ~daemon ~deferred ~delay fn =
+  let e = t.engines.(node) in
+  if dst = node then Engine.schedule_after e ~daemon ~deferred ~delay fn
+  else begin
+    if dst < 0 || dst >= Array.length t.engines then
+      invalid_arg (Printf.sprintf "Shard.host: post to unknown node %d" dst);
+    if delay < t.lookahead then
+      invalid_arg
+        (Printf.sprintf "Shard.host: cross-node delay %d below lookahead %d" delay
+           t.lookahead);
+    let seq = t.node_seq.(node) in
+    if seq > max_node_seq then invalid_arg "Shard.host: per-node sequence overflow";
+    t.node_seq.(node) <- seq + 1;
+    let key = (node lsl node_seq_bits) lor seq in
+    let at = Engine.now e + delay in
+    let flags = (if daemon then 1 else 0) lor if deferred then 2 else 0 in
+    box_push
+      t.boxes.((t.node_shard.(node) * t.nshards) + t.node_shard.(dst))
+      ~at ~key ~dst ~flags fn
+  end
+
+let host ?check ~shards ~lookahead engines =
+  let nodes = Array.length engines in
+  if nodes < 1 then invalid_arg "Shard.host: need at least one engine";
+  if shards < 1 then invalid_arg "Shard.host: shards must be >= 1";
+  if lookahead < 1 then invalid_arg "Shard.host: lookahead must be >= 1";
+  Array.iter
+    (fun e ->
+      if Engine.router e <> None then
+        invalid_arg "Shard.host: an engine already has a router")
+    engines;
   let check =
     match check with
     | Some b -> b
     | None -> ( match Sys.getenv_opt "PLATINUM_CHECK" with Some "1" -> true | _ -> false)
   in
   let nshards = min shards nodes in
-  {
-    nodes;
-    nshards;
-    lookahead;
-    check;
-    shards_ =
-      Array.init nshards (fun sid ->
-          {
-            sid;
-            heap = Eheap.create ~capacity:64 ~dummy:dummy_event ();
-            clock = 0;
-            processed = 0;
-            min_pending = max_int;
-          });
-    (* Contiguous blocks: node n lives on shard n*S/N, which keeps
-       cluster neighbours together for any S <= clusters. *)
-    node_shard = Array.init nodes (fun n -> n * nshards / nodes);
-    node_seq = Array.make nodes 0;
-    boxes = Array.init (nshards * nshards) (fun _ -> box_create ());
-    windows = 0;
-    running = false;
-    window_end = max_int;
-  }
+  (* Contiguous blocks: node n lives on shard n*S/N, which keeps cluster
+     neighbours together for any S <= clusters. *)
+  let node_shard = Array.init nodes (fun n -> n * nshards / nodes) in
+  let shard_nodes =
+    Array.init nshards (fun sid ->
+        let sel = ref [] in
+        for n = nodes - 1 downto 0 do
+          if node_shard.(n) = sid then sel := n :: !sel
+        done;
+        Array.of_list !sel)
+  in
+  let t =
+    {
+      engines = Array.copy engines;
+      nshards;
+      lookahead;
+      check;
+      node_shard;
+      node_seq = Array.make nodes 0;
+      shard_nodes;
+      boxes = Array.init (nshards * nshards) (fun _ -> box_create ());
+      windows = 0;
+      ran = false;
+    }
+  in
+  Array.iteri
+    (fun node e ->
+      Engine.set_router e
+        (Some
+           {
+             Engine.route =
+               (fun ~src:_ ~dst ~daemon ~deferred ~delay fn ->
+                 route t ~node ~dst ~daemon ~deferred ~delay fn);
+           }))
+    engines;
+  t
 
-let nodes t = t.nodes
+let nodes t = Array.length t.engines
 let shards t = t.nshards
-let lookahead t = t.lookahead
-let shard_of_node t node = t.node_shard.(node)
 let windows t = t.windows
+let shard_of_node t node = t.node_shard.(node)
+let events t = Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 t.engines
+let clock t = Array.fold_left (fun acc e -> max acc (Engine.now e)) 0 t.engines
 
-let events_processed t =
-  Array.fold_left (fun acc s -> acc + s.processed) 0 t.shards_
-
-let clock t = Array.fold_left (fun acc s -> max acc s.clock) 0 t.shards_
-
-let now t ~node = t.shards_.(t.node_shard.(node)).clock
-
-let check_node t node what =
-  if node < 0 || node >= t.nodes then
-    invalid_arg (Printf.sprintf "Shard.%s: no node %d" what node)
-
-(* Draw the next key for an event originating at [node].  The per-node
-   counter makes the key independent of sharding; see the header. *)
-let key_of t ~node =
-  let seq = t.node_seq.(node) in
-  if seq > max_node_seq then invalid_arg "Shard: per-node sequence overflow";
-  t.node_seq.(node) <- seq + 1;
-  (node lsl node_seq_bits) lor seq
-
-let schedule t ~node ~delay fn =
-  check_node t node "schedule";
-  if delay < 0 then invalid_arg "Shard.schedule: negative delay";
-  let s = t.shards_.(t.node_shard.(node)) in
-  let at = s.clock + delay in
-  Eheap.add s.heap ~time:at ~seq:(key_of t ~node) fn
-
-let post t ~src ~dst ~delay fn =
-  check_node t src "post";
-  check_node t dst "post";
-  if src = dst then schedule t ~node:src ~delay fn
-  else begin
-    (* The conservative contract: cross-node effects are at least one
-       lookahead away.  Enforced for every src <> dst pair — including
-       same-shard pairs — so whether the rule fires can never depend on
-       the shard count. *)
-    if delay < t.lookahead then
-      invalid_arg
-        (Printf.sprintf "Shard.post: cross-node delay %d below lookahead %d" delay
-           t.lookahead);
-    let ss = t.shards_.(t.node_shard.(src)) in
-    let ds = t.node_shard.(dst) in
-    let at = ss.clock + delay in
-    let key = key_of t ~node:src in
-    if ds = ss.sid || not t.running then
-      (* Same shard (or pre-run setup): straight into the heap; the key
-         carries the merge order either way. *)
-      Eheap.add t.shards_.(ds).heap ~time:at ~seq:key fn
-    else box_push t.boxes.((ss.sid * t.nshards) + ds) ~at ~key fn
+(* Deliver shard [sid]'s incoming mail.  Entries are merged across all
+   source shards and sorted by (time, key) before insertion, so each
+   destination engine assigns its internal sequence numbers in an order
+   that is a pure function of the workload — the crux of determinism (see
+   the header above). *)
+let drain t sid =
+  let n = t.nshards in
+  let total = ref 0 in
+  for src = 0 to n - 1 do
+    total := !total + t.boxes.((src * n) + sid).b_len
+  done;
+  if !total > 0 then begin
+    let batch = Array.make !total (0, 0, 0, 0, nothing) in
+    let w = ref 0 in
+    for src = 0 to n - 1 do
+      let b = t.boxes.((src * n) + sid) in
+      for i = 0 to b.b_len - 1 do
+        batch.(!w) <- (b.b_at.(i), b.b_key.(i), b.b_dst.(i), b.b_flags.(i), b.b_fn.(i));
+        incr w;
+        b.b_fn.(i) <- nothing
+      done;
+      b.b_len <- 0
+    done;
+    Array.sort
+      (fun (at1, k1, _, _, _) (at2, k2, _, _, _) ->
+        if at1 <> at2 then compare at1 at2 else compare k1 k2)
+      batch;
+    Array.iter
+      (fun (at, _, dst, flags, fn) ->
+        let e = t.engines.(dst) in
+        if t.check && at < Engine.now e then
+          failwith
+            (Printf.sprintf
+               "Shard.host check: mailbox delivery at %d before node %d clock %d (window \
+                violation)"
+               at dst (Engine.now e));
+        Engine.schedule_at e ~daemon:(flags land 1 <> 0) ~deferred:(flags land 2 <> 0)
+          ~at fn)
+      batch
   end
 
-(* --- per-shard phases (each touches only [s]'s own state plus, in the
-   drain phase, the mailboxes it exclusively owns this phase) --- *)
+let next_min t =
+  Array.fold_left (fun acc e -> min acc (Engine.next_at e)) max_int t.engines
 
-let drain_phase t (s : shard) =
-  let n = t.nshards in
-  for src = 0 to n - 1 do
-    let b = t.boxes.((src * n) + s.sid) in
-    for i = 0 to b.b_len - 1 do
-      if t.check && b.b_at.(i) < s.clock then
-        failwith
-          (Printf.sprintf
-             "Shard check: mailbox delivery at %d before shard %d clock %d (window \
-              violation)"
-             b.b_at.(i) s.sid s.clock);
-      Eheap.add s.heap ~time:b.b_at.(i) ~seq:b.b_key.(i) b.b_fn.(i);
-      b.b_fn.(i) <- dummy_event
-    done;
-    b.b_len <- 0
-  done;
-  s.min_pending <- (if Eheap.is_empty s.heap then max_int else Eheap.min_time s.heap)
-
-let run_phase t (s : shard) ~window_end =
-  let continue = ref true in
-  while !continue do
-    if Eheap.is_empty s.heap then continue := false
-    else begin
-      let at = Eheap.min_time s.heap in
-      if at >= window_end then continue := false
-      else begin
-        let fn = Eheap.pop s.heap in
-        if t.check && at < s.clock then
-          failwith
-            (Printf.sprintf "Shard check: shard %d time ran backwards (%d after %d)" s.sid
-               at s.clock);
-        s.clock <- at;
-        s.processed <- s.processed + 1;
-        fn at
-      end
-    end
-  done;
-  (* Catch up idle shards so late-seeded events can't be scheduled into
-     another shard's past. *)
-  if window_end > s.clock && window_end < max_int then s.clock <- window_end
+let alive t = Array.exists (fun e -> not (Engine.is_empty e)) t.engines
 
 (* --- the domain pool ---
 
@@ -243,7 +241,7 @@ let run_phase t (s : shard) ~window_end =
    marked done.  Tickets are per-round-parity, so a straggler from the
    previous round can never steal a ticket that was already reset.
    Atomic operations provide the publication fences for the mailbox and
-   heap state crossing domains. *)
+   engine state crossing domains. *)
 
 type pool = {
   round : int Atomic.t;
@@ -296,35 +294,38 @@ let leader_phase pool ~nshards f =
 
 (* --- the window loop --- *)
 
-let global_min t =
-  Array.fold_left (fun acc s -> min acc s.min_pending) max_int t.shards_
-
-let run_rounds t ~phase =
-  let continue = ref true in
-  (* Round 0 folds in anything posted during setup and publishes mins. *)
-  phase (fun i -> drain_phase t t.shards_.(i));
+let rounds t ~phase =
+  (* Round 0 folds in anything posted during setup. *)
+  phase (fun sid -> drain t sid);
+  let continue = ref (alive t) in
   while !continue do
-    let m = global_min t in
+    let m = next_min t in
     if m = max_int then continue := false
     else begin
       let window_end = m + t.lookahead in
-      t.window_end <- window_end;
       t.windows <- t.windows + 1;
-      phase (fun i -> run_phase t t.shards_.(i) ~window_end);
-      phase (fun i -> drain_phase t t.shards_.(i))
+      phase (fun sid ->
+          let mine = t.shard_nodes.(sid) in
+          for i = 0 to Array.length mine - 1 do
+            (* run_until is inclusive; windows are [m, window_end). *)
+            Engine.run_until t.engines.(mine.(i)) (window_end - 1)
+          done);
+      phase (fun sid -> drain t sid);
+      continue := alive t
     end
   done
 
-(* Drive [rounds] with [nshards]-wide phases on [domains] domains: one
-   domain claims shards in order with no pool and no barriers; more spawn
-   a worker pool.  Shared by {!run} (message-level shards) and
-   {!run_hosted} (per-node engines) — the results are identical either
-   way, by the key contract. *)
-let drive ~domains ~nshards rounds =
-  if domains < 1 then invalid_arg "Shard: domains must be >= 1";
+(* One domain claims shards in order with no pool and no barriers; more
+   spawn a worker pool.  The results are identical either way, by the key
+   contract. *)
+let run ?(domains = 1) t =
+  if t.ran then invalid_arg "Shard.run: already ran";
+  if domains < 1 then invalid_arg "Shard.run: domains must be >= 1";
+  t.ran <- true;
+  let nshards = t.nshards in
   let ndomains = min domains nshards in
   if ndomains = 1 then
-    rounds ~phase:(fun f ->
+    rounds t ~phase:(fun f ->
         for i = 0 to nshards - 1 do
           f i
         done)
@@ -337,253 +338,5 @@ let drive ~domains ~nshards rounds =
       ~finally:(fun () ->
         Atomic.set pool.stop true;
         Array.iter Domain.join workers)
-      (fun () -> rounds ~phase:(leader_phase pool ~nshards))
+      (fun () -> rounds t ~phase:(leader_phase pool ~nshards))
   end
-
-let run ?(domains = 1) t =
-  if t.running then invalid_arg "Shard.run: already running";
-  t.running <- true;
-  Fun.protect
-    ~finally:(fun () -> t.running <- false)
-    (fun () -> drive ~domains ~nshards:t.nshards (fun ~phase -> run_rounds t ~phase))
-
-(* ------------------------------------------------------------------ *)
-(* Hosted engines: full kernel simulations under the window protocol.   *)
-(* ------------------------------------------------------------------ *)
-
-(* The hosted mode runs one complete {!Engine.t} — typically carrying a
-   whole per-node kernel — per node, advanced under the same conservative
-   windows and domain pool as the message-level shards above.  The group
-   installs an {!Engine.router} on every hosted engine, so every
-   [Engine.post] with [dst <> self] — kernel wakeups, protocol messages,
-   block-transfer completions — crosses through a per-(shard,shard)
-   mailbox.
-
-   One deliberate difference from [Shard.post]: cross-node events take the
-   mailbox path even when src and dst share a shard (and even at shard
-   count 1).  A destination engine assigns its internal sequence numbers
-   as events arrive, so arrival order must be a pure function of the
-   workload: mailboxes are drained in global (time, key) order at window
-   boundaries, which is shard-count-independent, whereas a same-shard
-   shortcut would interleave arrivals with the destination's own
-   scheduling and make sequence assignment depend on the shard map.
-   Hosted runs are therefore byte-identical across every (shards,
-   domains) — including (1, 1) — but follow a different (equally valid)
-   schedule than the same kernels on one engine with no router; the
-   no-router sequential world remains the golden oracle and is untouched
-   by hosting. *)
-
-type hbox = {
-  mutable hb_at : int array;
-  mutable hb_key : int array;
-  mutable hb_dst : int array;
-  mutable hb_flags : int array;  (* bit 0 daemon, bit 1 deferred *)
-  mutable hb_fn : (unit -> unit) array;
-  mutable hb_len : int;
-}
-
-let hnothing () = ()
-
-let hbox_create () =
-  {
-    hb_at = Array.make 8 0;
-    hb_key = Array.make 8 0;
-    hb_dst = Array.make 8 0;
-    hb_flags = Array.make 8 0;
-    hb_fn = Array.make 8 hnothing;
-    hb_len = 0;
-  }
-
-let hbox_push b ~at ~key ~dst ~flags fn =
-  let n = b.hb_len in
-  if n = Array.length b.hb_at then begin
-    let cap = 2 * n in
-    let grow a fill =
-      let a' = Array.make cap fill in
-      Array.blit a 0 a' 0 n;
-      a'
-    in
-    b.hb_at <- grow b.hb_at 0;
-    b.hb_key <- grow b.hb_key 0;
-    b.hb_dst <- grow b.hb_dst 0;
-    b.hb_flags <- grow b.hb_flags 0;
-    b.hb_fn <- grow b.hb_fn hnothing
-  end;
-  b.hb_at.(n) <- at;
-  b.hb_key.(n) <- key;
-  b.hb_dst.(n) <- dst;
-  b.hb_flags.(n) <- flags;
-  b.hb_fn.(n) <- fn;
-  b.hb_len <- n + 1
-
-type hosted = {
-  h_engines : Engine.t array;
-  h_nshards : int;
-  h_lookahead : Time_ns.t;
-  h_check : bool;
-  h_node_shard : int array;
-  h_node_seq : int array;  (* single-writer: the node's own events *)
-  h_shard_nodes : int array array;  (* shard -> its nodes, ascending *)
-  h_boxes : hbox array;  (* (src shard * nshards) + dst shard *)
-  mutable h_windows : int;
-  mutable h_ran : bool;
-}
-
-(* The router for hosted engine [node]: self-posts keep their engine-local
-   schedule; anything else draws a key from the node's counter and rides a
-   mailbox.  Only [node]'s own events (or pre-run setup, which is
-   single-domain) may reach this — the same single-writer rule as
-   {!schedule}. *)
-let hosted_route h ~node ~dst ~daemon ~deferred ~delay fn =
-  let e = h.h_engines.(node) in
-  if dst = node then Engine.schedule_after e ~daemon ~deferred ~delay fn
-  else begin
-    if dst < 0 || dst >= Array.length h.h_engines then
-      invalid_arg (Printf.sprintf "Shard.host: post to unknown node %d" dst);
-    if delay < h.h_lookahead then
-      invalid_arg
-        (Printf.sprintf "Shard.host: cross-node delay %d below lookahead %d" delay
-           h.h_lookahead);
-    let seq = h.h_node_seq.(node) in
-    if seq > max_node_seq then invalid_arg "Shard.host: per-node sequence overflow";
-    h.h_node_seq.(node) <- seq + 1;
-    let key = (node lsl node_seq_bits) lor seq in
-    let at = Engine.now e + delay in
-    let flags = (if daemon then 1 else 0) lor if deferred then 2 else 0 in
-    hbox_push
-      h.h_boxes.((h.h_node_shard.(node) * h.h_nshards) + h.h_node_shard.(dst))
-      ~at ~key ~dst ~flags fn
-  end
-
-let host ?check ~shards ~lookahead engines =
-  let nodes = Array.length engines in
-  if nodes < 1 then invalid_arg "Shard.host: need at least one engine";
-  if shards < 1 then invalid_arg "Shard.host: shards must be >= 1";
-  if lookahead < 1 then invalid_arg "Shard.host: lookahead must be >= 1";
-  Array.iter
-    (fun e ->
-      if Engine.router e <> None then
-        invalid_arg "Shard.host: an engine already has a router")
-    engines;
-  let check =
-    match check with
-    | Some b -> b
-    | None -> ( match Sys.getenv_opt "PLATINUM_CHECK" with Some "1" -> true | _ -> false)
-  in
-  let nshards = min shards nodes in
-  let node_shard = Array.init nodes (fun n -> n * nshards / nodes) in
-  let shard_nodes =
-    Array.init nshards (fun sid ->
-        let sel = ref [] in
-        for n = nodes - 1 downto 0 do
-          if node_shard.(n) = sid then sel := n :: !sel
-        done;
-        Array.of_list !sel)
-  in
-  let h =
-    {
-      h_engines = Array.copy engines;
-      h_nshards = nshards;
-      h_lookahead = lookahead;
-      h_check = check;
-      h_node_shard = node_shard;
-      h_node_seq = Array.make nodes 0;
-      h_shard_nodes = shard_nodes;
-      h_boxes = Array.init (nshards * nshards) (fun _ -> hbox_create ());
-      h_windows = 0;
-      h_ran = false;
-    }
-  in
-  Array.iteri
-    (fun node e ->
-      Engine.set_router e
-        (Some
-           {
-             Engine.route =
-               (fun ~src:_ ~dst ~daemon ~deferred ~delay fn ->
-                 hosted_route h ~node ~dst ~daemon ~deferred ~delay fn);
-           }))
-    engines;
-  h
-
-let hosted_nodes h = Array.length h.h_engines
-let hosted_shards h = h.h_nshards
-let hosted_windows h = h.h_windows
-let hosted_shard_of_node h node = h.h_node_shard.(node)
-
-let hosted_events h =
-  Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 h.h_engines
-
-let hosted_clock h = Array.fold_left (fun acc e -> max acc (Engine.now e)) 0 h.h_engines
-
-(* Deliver shard [sid]'s incoming mail.  Entries are merged across all
-   source shards and sorted by (time, key) before insertion, so each
-   destination engine assigns its internal sequence numbers in an order
-   that is a pure function of the workload — the crux of hosted
-   determinism (see the header above). *)
-let hosted_drain h sid =
-  let n = h.h_nshards in
-  let total = ref 0 in
-  for src = 0 to n - 1 do
-    total := !total + h.h_boxes.((src * n) + sid).hb_len
-  done;
-  if !total > 0 then begin
-    let batch = Array.make !total (0, 0, 0, 0, hnothing) in
-    let w = ref 0 in
-    for src = 0 to n - 1 do
-      let b = h.h_boxes.((src * n) + sid) in
-      for i = 0 to b.hb_len - 1 do
-        batch.(!w) <- (b.hb_at.(i), b.hb_key.(i), b.hb_dst.(i), b.hb_flags.(i), b.hb_fn.(i));
-        incr w;
-        b.hb_fn.(i) <- hnothing
-      done;
-      b.hb_len <- 0
-    done;
-    Array.sort
-      (fun (at1, k1, _, _, _) (at2, k2, _, _, _) ->
-        if at1 <> at2 then compare at1 at2 else compare k1 k2)
-      batch;
-    Array.iter
-      (fun (at, _, dst, flags, fn) ->
-        let e = h.h_engines.(dst) in
-        if h.h_check && at < Engine.now e then
-          failwith
-            (Printf.sprintf
-               "Shard.host check: mailbox delivery at %d before node %d clock %d (window \
-                violation)"
-               at dst (Engine.now e));
-        Engine.schedule_at e ~daemon:(flags land 1 <> 0) ~deferred:(flags land 2 <> 0)
-          ~at fn)
-      batch
-  end
-
-let hosted_min h =
-  Array.fold_left (fun acc e -> min acc (Engine.next_at e)) max_int h.h_engines
-
-let hosted_alive h = Array.exists (fun e -> not (Engine.is_empty e)) h.h_engines
-
-let hosted_rounds h ~phase =
-  (* Round 0 folds in anything posted during setup. *)
-  phase (fun sid -> hosted_drain h sid);
-  let continue = ref (hosted_alive h) in
-  while !continue do
-    let m = hosted_min h in
-    if m = max_int then continue := false
-    else begin
-      let window_end = m + h.h_lookahead in
-      h.h_windows <- h.h_windows + 1;
-      phase (fun sid ->
-          let mine = h.h_shard_nodes.(sid) in
-          for i = 0 to Array.length mine - 1 do
-            (* run_until is inclusive; windows are [m, window_end). *)
-            Engine.run_until h.h_engines.(mine.(i)) (window_end - 1)
-          done);
-      phase (fun sid -> hosted_drain h sid);
-      continue := hosted_alive h
-    end
-  done
-
-let run_hosted ?(domains = 1) h =
-  if h.h_ran then invalid_arg "Shard.run_hosted: already ran";
-  h.h_ran <- true;
-  drive ~domains ~nshards:h.h_nshards (fun ~phase -> hosted_rounds h ~phase)

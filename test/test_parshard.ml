@@ -1,14 +1,17 @@
-(* The sharded event engine (Sim.Shard) and the message-level scale
-   workloads built on it (Platinum_scale.Scale).
+(* The sharded driver (Sim.Shard) and the workloads it hosts: the
+   message-level mesh workloads (Platinum_scale.Scale) and the per-node
+   kernels (Platinum_scale.Parkernel), each node on its own Engine.t.
 
    The load-bearing contract: a sharded run is a pure function of the
    workload parameters — the shard count and domain count never change a
    single byte of the result.  We pin that by fingerprint across a
-   shards x domains grid, for all three workloads, with the window
-   self-checks armed, and again with the fault plane injecting at 2%
-   (so the IPI-retry and RPC-retransmission recovery paths are inside the
-   determinism envelope, not outside it). *)
+   shards x domains grid, for every workload, with the window self-checks
+   armed, and again with the fault plane injecting at 2% (so the IPI-retry
+   and RPC-retransmission recovery paths are inside the determinism
+   envelope, not outside it).  The mesh workloads' fingerprints are also
+   pinned to fixed values. *)
 
+module Engine = Platinum_sim.Engine
 module Shard = Platinum_sim.Shard
 module Config = Platinum_machine.Config
 module Scale = Platinum_scale.Scale
@@ -19,21 +22,26 @@ let domain_counts = [ 1; 2; 4 ]
 
 let small = Config.hierarchical ~cluster_size:4 ~nodes:24 ()
 
-(* --- Shard mechanics --- *)
+(* --- Shard mechanics, on bare per-node engines --- *)
+
+(* [n] fresh engines hosted as one group; node [i] is [engines.(i)]. *)
+let hosted ?check ~nodes ~shards ~lookahead () =
+  let engines = Array.init nodes (fun _ -> Engine.create ()) in
+  (engines, Shard.host ?check ~shards ~lookahead engines)
 
 let test_shard_basics () =
-  let sh = Shard.create ~check:true ~nodes:8 ~shards:4 ~lookahead:1_000 () in
+  let engines, sh = hosted ~check:true ~nodes:8 ~shards:4 ~lookahead:1_000 () in
   Alcotest.(check int) "nodes" 8 (Shard.nodes sh);
   Alcotest.(check int) "shards" 4 (Shard.shards sh);
-  Alcotest.(check int) "lookahead" 1_000 (Shard.lookahead sh);
   Alcotest.(check int) "node 0 on shard 0" 0 (Shard.shard_of_node sh 0);
   Alcotest.(check int) "node 7 on shard 3" 3 (Shard.shard_of_node sh 7);
   let log = ref [] in
-  Shard.schedule sh ~node:0 ~delay:10 (fun t -> log := (`A, t) :: !log);
-  Shard.schedule sh ~node:7 ~delay:5 (fun t -> log := (`B, t) :: !log);
-  Shard.post sh ~src:0 ~dst:7 ~delay:1_000 (fun t -> log := (`C, t) :: !log);
+  let record k e () = log := (k, Engine.now e) :: !log in
+  Engine.schedule_after engines.(0) ~delay:10 (record `A engines.(0));
+  Engine.schedule_after engines.(7) ~delay:5 (record `B engines.(7));
+  Engine.post engines.(0) ~src:0 ~dst:7 ~delay:1_000 (record `C engines.(7));
   Shard.run sh;
-  Alcotest.(check int) "three events" 3 (Shard.events_processed sh);
+  Alcotest.(check int) "three events" 3 (Shard.events sh);
   Alcotest.(check (list (pair bool int)))
     "delivery times in order"
     [ (true, 5); (true, 10); (false, 1_000) ]
@@ -41,44 +49,44 @@ let test_shard_basics () =
     |> List.sort (fun (_, a) (_, b) -> compare a b))
 
 let test_shard_clamps_to_nodes () =
-  let sh = Shard.create ~nodes:3 ~shards:16 ~lookahead:100 () in
+  let _, sh = hosted ~nodes:3 ~shards:16 ~lookahead:100 () in
   Alcotest.(check int) "shards clamped to node count" 3 (Shard.shards sh)
 
 let test_post_under_lookahead_rejected () =
-  let sh = Shard.create ~nodes:4 ~shards:2 ~lookahead:5_000 () in
+  let engines, sh = hosted ~nodes:4 ~shards:2 ~lookahead:5_000 () in
   (* Enforced even for a same-shard pair (nodes 0 and 1 both live on
      shard 0), so legality never depends on the shard count. *)
   Alcotest.check_raises "cross-node post under the lookahead"
-    (Invalid_argument "Shard.post: cross-node delay 4999 below lookahead 5000")
-    (fun () ->
-      Shard.post sh ~src:0 ~dst:1 ~delay:4_999 (fun _ -> ()));
+    (Invalid_argument "Shard.host: cross-node delay 4999 below lookahead 5000")
+    (fun () -> Engine.post engines.(0) ~src:0 ~dst:1 ~delay:4_999 ignore);
   (* src = dst is node-local scheduling: no lookahead constraint. *)
-  Shard.post sh ~src:0 ~dst:0 ~delay:1 (fun _ -> ());
+  Engine.post engines.(0) ~src:0 ~dst:0 ~delay:1 ignore;
   Shard.run sh;
-  Alcotest.(check int) "local post delivered" 1 (Shard.events_processed sh)
+  Alcotest.(check int) "local post delivered" 1 (Shard.events sh)
 
 (* A cross-shard ping-pong whose event count and final clock are exact:
    hand-checkable conservative-window behaviour. *)
 let test_shard_ping_pong () =
   let run ~shards ~domains =
-    let sh = Shard.create ~check:true ~nodes:4 ~shards ~lookahead:100 () in
+    let engines, sh = hosted ~check:true ~nodes:4 ~shards ~lookahead:100 () in
     let hops = ref 0 in
-    let rec ping src dst _t =
+    let rec ping src dst () =
       if !hops < 50 then begin
         incr hops;
-        Shard.post sh ~src ~dst ~delay:100 (ping dst src)
+        Engine.post engines.(src) ~src ~dst ~delay:100 (ping dst src)
       end
     in
-    Shard.schedule sh ~node:0 ~delay:0 (ping 0 3);
+    Engine.schedule_after engines.(0) ~delay:0 (ping 0 3);
     Shard.run ~domains sh;
-    (!hops, Shard.events_processed sh, Shard.clock sh, Shard.windows sh)
+    (!hops, Shard.events sh, Shard.clock sh, Shard.windows sh)
   in
   let h, e, c, _ = run ~shards:1 ~domains:1 in
   Alcotest.(check int) "50 hops" 50 h;
   Alcotest.(check int) "51 events" 51 e;
-  (* Last delivery at 50 x 100 ns; the final window's idle catch-up then
-     advances the clocks to its end, one lookahead past it. *)
-  Alcotest.(check int) "clock = last delivery + final window" 5_100 c;
+  (* Last delivery at 50 x 100 ns, inside the final window [5000, 5100).
+     A window runs every engine up to its end minus one (Engine.run_until
+     is inclusive), so every clock stops at 5099, not at the window end. *)
+  Alcotest.(check int) "clock = final window end - 1" 5_099 c;
   let h4, e4, c4, _ = run ~shards:4 ~domains:2 in
   Alcotest.(check (list int))
     "identical at 4 shards / 2 domains" [ h; e; c ] [ h4; e4; c4 ]
@@ -113,15 +121,33 @@ let check_grid_identical name lines =
       (List.map (fun _ -> baseline) lines)
       lines
 
+(* The pinned fingerprints of the grid's cells (small, seed 7, 30 ops),
+   clean and at 2% injection: every cell must reproduce them. *)
+let golden = function
+  | Scale.Traffic -> ("ac31750d2de0e75c", "6cda1a2a9eca7cfb")
+  | Scale.Storm -> ("74a37ccb7ec8f7bb", "4c94b85d30cd1927")
+  | Scale.Echo -> ("65cb27c6a66faf9a", "8665fc75590a0eea")
+  | Scale.Serve -> ("e9d43ec6d1bc5d68", "e0ec99d80959da5c")
+
+let check_golden fp lines =
+  List.iter
+    (fun line ->
+      Alcotest.(check string)
+        "pinned fingerprint" fp
+        (String.sub line (String.length line - 16) 16))
+    lines
+
 let test_workload_deterministic workload () =
   (* check:true = the PLATINUM_CHECK window monitors are armed in every
      cell; a violation raises and fails the test. *)
-  fingerprint_grid ~check:true workload
-  |> check_grid_identical "fingerprint identical across shards x domains"
+  let lines = fingerprint_grid ~check:true workload in
+  check_grid_identical "fingerprint identical across shards x domains" lines;
+  check_golden (fst (golden workload)) lines
 
 let test_workload_deterministic_injected workload () =
-  fingerprint_grid ~check:true ~inject_rate:0.02 workload
-  |> check_grid_identical "fingerprint identical under 2% fault injection"
+  let lines = fingerprint_grid ~check:true ~inject_rate:0.02 workload in
+  check_grid_identical "fingerprint identical under 2% fault injection" lines;
+  check_golden (snd (golden workload)) lines
 
 let test_injection_exercises_recovery () =
   (* At 2% over enough ops the adversary must actually fire — otherwise
