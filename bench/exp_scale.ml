@@ -53,6 +53,10 @@ let determinism_ok ~config ~ops =
 
 (* --- throughput rows --- *)
 
+(* Host cost of one synchronization window, and how much work it carried. *)
+let us_per_window ~wall_s ~windows = wall_s *. 1e6 /. float_of_int (max 1 windows)
+let events_per_window ~events ~windows = float_of_int events /. float_of_int (max 1 windows)
+
 type row = {
   r : Scale.result;
   clusters : int;
@@ -76,11 +80,14 @@ let row_json { r; clusters; lookahead_ns; wall_s } =
     "    { \"workload\": %S, \"nodes\": %d, \"clusters\": %d, \"shards\": %d,\n\
     \      \"domains\": %d, \"lookahead_ns\": %d, \"events\": %d, \"windows\": %d,\n\
     \      \"sim_ns\": %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f,\n\
-    \      \"words_per_sec\": %.0f, \"fingerprint\": %S }"
+    \      \"words_per_sec\": %.0f, \"us_per_window\": %.3f, \"events_per_window\": %.2f,\n\
+    \      \"fingerprint\": %S }"
     r.Scale.workload r.Scale.nodes clusters r.Scale.run_shards r.Scale.run_domains
     lookahead_ns r.Scale.events r.Scale.windows r.Scale.clock wall_s
     (float_of_int r.Scale.events /. wall_s)
     (float_of_int r.Scale.words /. wall_s)
+    (us_per_window ~wall_s ~windows:r.Scale.windows)
+    (events_per_window ~events:r.Scale.events ~windows:r.Scale.windows)
     r.Scale.fingerprint
 
 (* --- hosted-kernel rows: the kernel simulation itself under Shard --- *)
@@ -109,13 +116,16 @@ let krow_json ?(gb = false) { kr = r; k_clusters; k_lookahead_ns; k_wall_s } =
     \      \"shards\": %d, \"domains\": %d, \"lookahead_ns\": %d, \"events\": %d,\n\
     \      \"windows\": %d, \"sim_ns\": %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f,\n\
     \      \"words_per_sec\": %.0f, \"span_words\": %d, \"touched_pages\": %d,\n\
-    \      \"setup_ms\": %.2f, \"verified\": %b, \"fingerprint\": %S }"
+    \      \"setup_ms\": %.2f, \"us_per_window\": %.3f, \"events_per_window\": %.2f,\n\
+    \      \"verified\": %b, \"fingerprint\": %S }"
     r.Parkernel.workload gb r.Parkernel.nodes k_clusters r.Parkernel.run_shards
     r.Parkernel.run_domains k_lookahead_ns r.Parkernel.events r.Parkernel.windows
     r.Parkernel.clock k_wall_s
     (float_of_int r.Parkernel.events /. k_wall_s)
     (float_of_int r.Parkernel.words /. k_wall_s)
     r.Parkernel.span_words r.Parkernel.touched_pages r.Parkernel.setup_ms
+    (us_per_window ~wall_s:k_wall_s ~windows:r.Parkernel.windows)
+    (events_per_window ~events:r.Parkernel.events ~windows:r.Parkernel.windows)
     r.Parkernel.verified r.Parkernel.fingerprint
 
 let kernel_determinism_ok ~config =
@@ -166,15 +176,17 @@ let run (scale : scale) =
             List.map (measure ~config ~ops ~shards ~domains) Scale.all_workloads)
           node_counts
       in
-      Printf.printf "%-8s %6s %9s %9s %12s %14s %14s\n" "workload" "nodes" "events"
-        "windows" "sim-time" "events/s" "sim-words/s";
+      Printf.printf "%-8s %6s %9s %9s %12s %14s %14s %9s %9s\n" "workload" "nodes"
+        "events" "windows" "sim-time" "events/s" "sim-words/s" "us/window" "ev/window";
       List.iter
         (fun { r; wall_s; _ } ->
-          Printf.printf "%-8s %6d %9d %9d %12s %14.0f %14.0f\n" r.Scale.workload
+          Printf.printf "%-8s %6d %9d %9d %12s %14.0f %14.0f %9.2f %9.1f\n" r.Scale.workload
             r.Scale.nodes r.Scale.events r.Scale.windows
             (Time_ns.to_string r.Scale.clock)
             (float_of_int r.Scale.events /. wall_s)
-            (float_of_int r.Scale.words /. wall_s))
+            (float_of_int r.Scale.words /. wall_s)
+            (us_per_window ~wall_s ~windows:r.Scale.windows)
+            (events_per_window ~events:r.Scale.events ~windows:r.Scale.windows))
         rows;
       (Some identical, rows)
     end
@@ -245,16 +257,18 @@ let run (scale : scale) =
       kmeasure ~config ~shards ~domains ~span_words:gb_span Parkernel.Jacobi )
   in
   let krows = krows @ [ gb_row ] in
-  Printf.printf "%-8s %6s %12s %8s %9s %12s %12s %9s\n" "workload" "nodes"
-    "span-words" "pages" "events" "sim-time" "events/s" "setup-ms";
+  Printf.printf "%-8s %6s %12s %8s %9s %12s %12s %9s %9s %9s\n" "workload" "nodes"
+    "span-words" "pages" "events" "sim-time" "events/s" "setup-ms" "us/window" "ev/window";
   List.iter
     (fun (_, { kr = r; k_wall_s; _ }) ->
-      Printf.printf "%-8s %6d %12d %8d %9d %12s %12.0f %9.2f\n"
+      Printf.printf "%-8s %6d %12d %8d %9d %12s %12.0f %9.2f %9.2f %9.1f\n"
         r.Parkernel.workload r.Parkernel.nodes r.Parkernel.span_words
         r.Parkernel.touched_pages r.Parkernel.events
         (Time_ns.to_string r.Parkernel.clock)
         (float_of_int r.Parkernel.events /. k_wall_s)
-        r.Parkernel.setup_ms)
+        r.Parkernel.setup_ms
+        (us_per_window ~wall_s:k_wall_s ~windows:r.Parkernel.windows)
+        (events_per_window ~events:r.Parkernel.events ~windows:r.Parkernel.windows))
     krows;
   List.iter
     (fun (gb, { kr = r; _ }) ->

@@ -25,10 +25,19 @@
     than the same kernels on an engine with no router; the no-router
     sequential run remains the golden oracle, and nothing here touches it.
 
-    Clock semantics: a window [\[m, m + lookahead)] runs every engine up
-    to [m + lookahead - 1] ({!Engine.run_until} is inclusive), so after
-    {!run} every engine's clock sits one nanosecond short of the last
-    window's end.
+    Window cost: a window [\[m, m + lookahead)] runs only the engines
+    with an event inside it, each up to [m + lookahead - 1]
+    ({!Engine.run_until} is inclusive), drains only the mailboxes that
+    hold mail, and touches only the shards that own either; finding [m]
+    and the engines due costs O(log) per engine run, not a scan of the
+    group.
+
+    Clock semantics: while {!run} is in progress an idle engine's clock
+    lags — it stays where that engine's last event or window left it.
+    Nothing observes this, because an engine's clock is read only by its
+    own events, which run at their own timestamps.  When {!run} returns,
+    every engine's clock is exact: one nanosecond short of the last
+    window's end, as if every engine had run every window.
 
     Handler contract: an event may schedule further work on its own
     engine at any delay, and [Engine.post] work to other nodes at a delay
@@ -44,8 +53,12 @@ val host : ?check:bool -> shards:int -> lookahead:Time_ns.t -> Engine.t array ->
     routers.  The group owns the engines until {!run} returns.  A
     cross-node post below [lookahead], or to a node outside the group,
     raises [Invalid_argument].  [check] arms the window-invariant
-    self-checks (default: the [PLATINUM_CHECK=1] environment variable):
-    no mailbox delivery may land in an engine's past, else [Failure].
+    self-checks (default: the [PLATINUM_CHECK=1] environment variable),
+    each raising [Failure]: every mailbox delivery lands at or after the
+    current window's end; each window, the indexed minimum and live-engine
+    count agree with a full scan of the engines (O(nodes) per window, in
+    check mode only); and no engine is left with an event before the last
+    window's end.
     Because every node's state is touched only by its own engine's
     events, monitor sweeps are shard-local by construction — that is the
     pinned monitor strategy (DESIGN.md §4j).  Raises [Invalid_argument] if
@@ -54,8 +67,10 @@ val host : ?check:bool -> shards:int -> lookahead:Time_ns.t -> Engine.t array ->
 val run : ?domains:int -> t -> unit
 (** Advance windows until no engine has a non-daemon event pending and
     every mailbox is empty.  [domains = 1] (the default) drives every
-    shard on the calling domain; larger counts spawn a worker pool.  The
-    result is identical either way.  A group can run once. *)
+    shard on the calling domain; larger counts spawn a worker pool, and a
+    phase with a single busy shard still runs on the calling domain with
+    no barrier.  The result is identical either way.  A group can run
+    once. *)
 
 val nodes : t -> int
 val shards : t -> int
@@ -69,4 +84,4 @@ val events : t -> int
 
 val clock : t -> Time_ns.t
 (** The latest engine clock (after {!run}: the common final time, the
-    last window's end minus one). *)
+    last window's end minus one; mid-run, idle clocks lag). *)

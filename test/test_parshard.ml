@@ -16,8 +16,9 @@ module Shard = Platinum_sim.Shard
 module Config = Platinum_machine.Config
 module Scale = Platinum_scale.Scale
 
-(* Grids kept modest: the full matrix runs under alcotest Quick. *)
-let shard_counts = [ 1; 2; 8 ]
+(* Grids kept modest: the full matrix runs under alcotest Quick.  24 is
+   the node count of [small]: one engine per shard. *)
+let shard_counts = [ 1; 2; 8; 24 ]
 let domain_counts = [ 1; 2; 4 ]
 
 let small = Config.hierarchical ~cluster_size:4 ~nodes:24 ()
@@ -84,12 +85,55 @@ let test_shard_ping_pong () =
   Alcotest.(check int) "50 hops" 50 h;
   Alcotest.(check int) "51 events" 51 e;
   (* Last delivery at 50 x 100 ns, inside the final window [5000, 5100).
-     A window runs every engine up to its end minus one (Engine.run_until
-     is inclusive), so every clock stops at 5099, not at the window end. *)
+     A window runs its engines up to its end minus one (Engine.run_until
+     is inclusive), and Shard.run leaves every clock there: 5099, not the
+     window end. *)
   Alcotest.(check int) "clock = final window end - 1" 5_099 c;
   let h4, e4, c4, _ = run ~shards:4 ~domains:2 in
   Alcotest.(check (list int))
     "identical at 4 shards / 2 domains" [ h; e; c ] [ h4; e4; c4 ]
+
+(* A sparse group: 256 engines, of which two ping-pong across the group
+   and one holds nothing but a daemon.  The daemon's ticks still cut
+   windows (the minimum covers every pending event), and the 253 idle
+   engines never run — yet every clock, theirs included, must end at the
+   last window's end minus one.  Pings land every 300 ns and ticks every
+   250 ns, with a 100 ns window: per 1500 ns that is 8 windows (0, 250
+   with the ping at 300, 500, 600, 750, 900, 1000, 1200 with the tick at
+   1250), so 10 periods up to the last ping at 15000, plus its window. *)
+let test_shard_sparse_group () =
+  let run ~shards ~domains =
+    let engines, sh = hosted ~check:true ~nodes:256 ~shards ~lookahead:100 () in
+    let hops = ref 0 and ticks = ref 0 in
+    let rec ping src dst () =
+      if !hops < 50 then begin
+        incr hops;
+        Engine.post engines.(src) ~src ~dst ~delay:300 (ping dst src)
+      end
+      else incr hops
+    in
+    Engine.schedule_after engines.(0) ~delay:0 (ping 0 255);
+    Engine.every engines.(128) ~daemon:true ~period:250 (fun () ->
+        incr ticks;
+        true);
+    Shard.run ~domains sh;
+    let clocks = Array.map Engine.now engines in
+    Alcotest.(check bool)
+      (Printf.sprintf "s=%d d=%d: every clock at the last window end - 1" shards domains)
+      true
+      (Array.for_all (( = ) 15_099) clocks);
+    [ !hops; !ticks; Shard.events sh; Shard.windows sh; Shard.clock sh ]
+  in
+  let expected = [ 51; 60; 111; 81; 15_099 ] in
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun domains ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "hops, ticks, events, windows, clock at s=%d d=%d" shards domains)
+            expected (run ~shards ~domains))
+        [ 1; 2 ])
+    [ 1; 2; 256 ]
 
 (* --- byte-identical fingerprints across the grid --- *)
 
@@ -290,6 +334,7 @@ let suite =
     ("shard: shard count clamps to nodes", `Quick, test_shard_clamps_to_nodes);
     ("shard: lookahead enforcement", `Quick, test_post_under_lookahead_rejected);
     ("shard: cross-shard ping-pong", `Quick, test_shard_ping_pong);
+    ("shard: sparse group runs only busy engines", `Quick, test_shard_sparse_group);
   ]
   @ List.map det Scale.all_workloads
   @ List.map det_inj Scale.all_workloads
