@@ -133,10 +133,13 @@ let run (_ : scale) =
   else
     Printf.printf "  (host has %d core(s): parallel wall-clock not meaningful, skipped)\n"
       (Par.default_jobs ());
-  check_shape "-j 4 table byte-identical to -j 1" identical;
-  (* ISSUE 2 targets >=3x on a 4-core host; a 1-core host can only confirm
-     determinism and the absence of overhead, so gate the shape check on
-     the host actually having the cores. *)
+  (* Determinism is a hard gate: a -j 4 table that differs from -j 1 fails
+     the experiment (exit 1 once the report is written).  The two
+     wall-clock checks below stay soft — they depend on the host, not on
+     the code.  The >=3x target needs a 4-core host; a smaller host can
+     only confirm determinism and the absence of overhead, so that check
+     is skipped there. *)
+  gate "-j 4 table byte-identical to -j 1" identical;
   if Par.default_jobs () >= 4 then
     check_shape "parallel sweep >= 3x on >=4-core host" (speedup >= 3.0);
   let wall_eheap = best_of ~reps:3 hold_eheap in
@@ -170,4 +173,5 @@ let run (_ : scale) =
     (if parallel_meaningful then Printf.sprintf "%.2f" speedup else "null")
     identical hold_ops hold_fill (rate wall_eheap) (rate wall_engine);
   close_out oc;
-  Printf.printf "  wrote BENCH_sweep.json\n%!"
+  Printf.printf "  wrote BENCH_sweep.json\n%!";
+  exit_if_failed "SWEEP_FAIL: the -j 4 table differs from the -j 1 table"

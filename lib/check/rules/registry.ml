@@ -19,11 +19,12 @@ let violations findings = List.filter (fun f -> f.allowed = None) findings
    checks nothing, so each non-trivial rule is validated against a seeded
    mutation of the real tree (the same discipline the mc experiment
    applies to the runtime monitor): delete the [fp_bump] from
-   [Coherent.freeze_page], and unwrap the [settle] around the kernel's
-   [Compute] arm, in *in-memory* copies of the sources; the rule must
+   [Coherent.freeze_page], unwrap the [settle] around the kernel's
+   [Compute] arm, and rename [Eheap.pop] away from its zero-alloc
+   catalogue entry, in *in-memory* copies of the sources; the rule must
    report exactly that site as an unexempted violation.  The surgery
    anchors on exact source substrings and fails loudly when they are
-   missing, so a refactor that moves either site breaks the gate rather
+   missing, so a refactor that moves any site breaks the gate rather
    than silently testing nothing. *)
 
 type gate = { g_name : string; g_result : (unit, string) result }
@@ -62,8 +63,22 @@ let gate_settle units =
     expect_violation ~rule_:"settle-coverage" ~name:"Compute"
       (Rule_settle.rule.run mutated)
 
+let gate_catalogue units =
+  match
+    mutate_unit units ~base:"eheap.ml"
+      ~f:(replace ~anchor:"let pop t" ~needle:"let pop t" ~repl:"let pop_min t")
+  with
+  | Error e -> Error ("mutation failed: " ^ e)
+  | Ok mutated ->
+    expect_violation ~rule_:Rule_alloc.rule_id ~name:"Eheap.pop"
+      (Rule_alloc.rule.run mutated)
+
 let mutation_gate units =
   [
     { g_name = "epoch-soundness catches a deleted fp_bump"; g_result = gate_epoch units };
     { g_name = "settle-coverage catches an unwrapped arm"; g_result = gate_settle units };
+    {
+      g_name = "zero-alloc catches a renamed hot function";
+      g_result = gate_catalogue units;
+    };
   ]

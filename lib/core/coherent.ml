@@ -584,7 +584,8 @@ let fp_value_cell t = t.fp_value
    the touched range stale.  Each chunk translates through {!translate} at
    the time it begins, so a fault raised mid-transaction is charged exactly
    as the unbatched per-word stream would charge it; the data plane of a
-   chunk is one [Array.blit] against the frame. *)
+   chunk is one barrier-free {!Frame.read_words}/{!Frame.write_words}
+   copy against the frame. *)
 let submit_block t ~now ~proc ~cmap:cm txn =
   let cfg = config t in
   let modules = Machine.modules t.machine in

@@ -23,13 +23,37 @@ let set_owner t = function
 let get t off = t.data.(off)
 let set t off v = t.data.(off) <- v
 
-let read_words t ~off ~dst ~dst_off ~words = Array.blit t.data off dst dst_off words
-let write_words t ~off ~src ~src_off ~words = Array.blit src src_off t.data off words
+(* The data plane of every block transfer.  [Array.blit] stores each word
+   through the write barrier ([caml_modify]) whenever the destination
+   lives in the major heap, as frames do; a loop over arrays statically
+   typed [int array] stores immediates directly.  The range check is
+   [Array.blit]'s, made once up front so the loop can skip per-word
+   bounds checks; the loop sits in its own call-free function so its
+   operands stay in registers rather than being spilled around the
+   [invalid_arg] call. *)
+let copy_unchecked (src : int array) src_off (dst : int array) dst_off words =
+  for i = 0 to words - 1 do
+    Array.unsafe_set dst (dst_off + i) (Array.unsafe_get src (src_off + i))
+  done
+
+let copy_words op (src : int array) src_off (dst : int array) dst_off words =
+  if
+    words < 0 || src_off < 0 || dst_off < 0
+    || src_off > Array.length src - words
+    || dst_off > Array.length dst - words
+  then invalid_arg op;
+  copy_unchecked src src_off dst dst_off words
+
+let read_words t ~off ~dst ~dst_off ~words =
+  copy_words "Frame.read_words" t.data off dst dst_off words
+
+let write_words t ~off ~src ~src_off ~words =
+  copy_words "Frame.write_words" src src_off t.data off words
 
 let blit_from ~src ~dst =
   if Array.length src.data <> Array.length dst.data then
     invalid_arg "Frame.blit_from: size mismatch";
-  Array.blit src.data 0 dst.data 0 (Array.length src.data)
+  copy_unchecked src.data 0 dst.data 0 (Array.length src.data)
 
 let fill_zero t = Array.fill t.data 0 (Array.length t.data) 0
 

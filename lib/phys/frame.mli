@@ -28,10 +28,14 @@ val set : t -> int -> int -> unit
 
 val read_words : t -> off:int -> dst:int array -> dst_off:int -> words:int -> unit
 (** Copy [words] data words starting at [off] into [dst] at [dst_off] — the
-    data plane of a block-transfer chunk, one [Array.blit] instead of a
-    per-word loop. *)
+    data plane of a block-transfer chunk.  One range check, then a copy of
+    immediate ints that bypasses the write barrier [Array.blit] would pay
+    per word on a major-heap destination.  Raises [Invalid_argument] when
+    either range is out of bounds or [words] is negative. *)
 
 val write_words : t -> off:int -> src:int array -> src_off:int -> words:int -> unit
+(** The converse of {!read_words}: copy [words] words of [src] from
+    [src_off] into the frame at [off], with the same range check. *)
 
 val blit_from : src:t -> dst:t -> unit
 (** Copy all data words of [src] into [dst] (the data plane of a block

@@ -4,6 +4,9 @@
     per insert and chases pointers on every delete-min; this heap keeps keys
     and payloads in flat arrays, so steady-state insert/pop allocates
     nothing and the hot comparison is a single immediate-[int] compare.
+    The heap is indexed: sifts move only integer keys and slot ids, and a
+    payload is stored once on insert and cleared once on pop, so the
+    write barrier is paid twice per entry rather than per sift step.
 
     Keys are pairs [(time, seq)] ordered lexicographically; [seq] must be
     unique per live entry (the engine's monotone sequence number), which

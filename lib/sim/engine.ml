@@ -43,7 +43,7 @@ let create () =
   {
     clock = 0;
     seq = 0;
-    queue = Eheap.create ~capacity:256 ~dummy:nothing ();
+    queue = Eheap.create ~capacity:16 ~dummy:nothing ();
     processed = 0;
     normal_pending = 0;
     router = None;

@@ -217,7 +217,14 @@ let test_settle_no_handler () =
 
 (* --- zero-alloc --- *)
 
-let alloc ?(file = "flat.ml") src = Rule_alloc.rule.Ast_lint.run [ unit_ ~file src ]
+let alloc_all ?(file = "flat.ml") src = Rule_alloc.rule.Ast_lint.run [ unit_ ~file src ]
+
+(* Fixtures bind only the functions they exercise; the findings for the
+   catalogued names they leave out are pinned by the catalogue test. *)
+let alloc ?file src =
+  List.filter
+    (fun (f : Ast_lint.finding) -> f.construct <> "missing catalogued function")
+    (alloc_all ?file src)
 
 let test_alloc_clean () =
   let fs =
@@ -291,6 +298,17 @@ let test_alloc_trailing_function_is_a_parameter () =
       \  | x :: rest -> x = holder && only_holder_maps holder rest\n"
   in
   Alcotest.(check (list string)) "the function keyword is not a closure" [] (tags fs)
+
+let test_alloc_catalogue_names_bound () =
+  let fs =
+    alloc_all ~file:"atc.ml" "let find t k = t.(k)\nlet peek_one t = t.(0)\n"
+  in
+  Alcotest.(check (list string)) "a catalogued name missing from its file is a violation"
+    [ "Atc.peek:VIOLATION" ] (verdicts fs);
+  Alcotest.(check (list string)) "a complete file passes" []
+    (tags (alloc_all ~file:"atc.ml" "let find t k = t.(k)\nlet peek t = t.(0)\n"));
+  Alcotest.(check (list string)) "uncatalogued files are not checked" []
+    (tags (alloc_all ~file:"m.ml" "let x = 1\n"))
 
 (* --- toplevel-state on the typed AST --- *)
 
@@ -396,6 +414,7 @@ let suite =
     ("alloc: uncatalogued functions ignored", `Quick, test_alloc_uncatalogued_ignored);
     ("alloc: marker downgrades", `Quick, test_alloc_marker);
     ("alloc: trailing function is a parameter", `Quick, test_alloc_trailing_function_is_a_parameter);
+    ("alloc: catalogued names must be bound", `Quick, test_alloc_catalogue_names_bound);
     ("domain: flags, Atomic, marker", `Quick, test_domain_flags_and_allows);
     ("domain: nested modules visible", `Quick, test_domain_sees_nested_modules);
     ("domain: functor bodies skipped", `Quick, test_domain_functor_bodies_skipped);

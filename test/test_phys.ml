@@ -48,6 +48,69 @@ let test_frame_zero_fill () =
   Frame.fill_zero f;
   Alcotest.(check int) "zeroed" 0 (Frame.get f 2)
 
+let test_frame_copy_edges () =
+  let f = Frame.create ~mem_module:0 ~index:0 ~words:8 in
+  for i = 0 to 7 do
+    Frame.set f i (100 + i)
+  done;
+  let buf = Array.make 4 (-1) in
+  Frame.read_words f ~off:6 ~dst:buf ~dst_off:2 ~words:2;
+  Alcotest.(check (array int)) "last two words into the buffer's tail" [| -1; -1; 106; 107 |]
+    buf;
+  Frame.read_words f ~off:0 ~dst:buf ~dst_off:0 ~words:0;
+  Frame.read_words f ~off:8 ~dst:buf ~dst_off:4 ~words:0;
+  Alcotest.(check (array int)) "empty copies at either end are no-ops" [| -1; -1; 106; 107 |]
+    buf;
+  Frame.write_words f ~off:0 ~src:[| 7; 8; 9 |] ~src_off:1 ~words:2;
+  Frame.write_words f ~off:7 ~src:[| 5 |] ~src_off:0 ~words:1;
+  Alcotest.(check (list int)) "writes land at the first and last word"
+    [ 8; 9; 102; 103; 104; 105; 106; 5 ]
+    (List.init 8 (Frame.get f));
+  let whole = Array.make 8 0 in
+  Frame.read_words f ~off:0 ~dst:whole ~dst_off:0 ~words:8;
+  Alcotest.(check (array int)) "a whole-page copy" [| 8; 9; 102; 103; 104; 105; 106; 5 |] whole
+
+let test_frame_copy_out_of_range () =
+  let f = Frame.create ~mem_module:0 ~index:0 ~words:8 in
+  let buf = Array.make 4 0 in
+  let read ~off ~dst_off ~words () = Frame.read_words f ~off ~dst:buf ~dst_off ~words in
+  let write ~off ~src_off ~words () = Frame.write_words f ~off ~src:buf ~src_off ~words in
+  let rd = Invalid_argument "Frame.read_words" and wr = Invalid_argument "Frame.write_words" in
+  Alcotest.check_raises "off past the page" rd (read ~off:7 ~dst_off:0 ~words:2);
+  Alcotest.check_raises "negative off" rd (read ~off:(-1) ~dst_off:0 ~words:1);
+  Alcotest.check_raises "dst_off past the buffer" rd (read ~off:0 ~dst_off:3 ~words:2);
+  Alcotest.check_raises "negative dst_off" rd (read ~off:0 ~dst_off:(-1) ~words:1);
+  Alcotest.check_raises "words beyond both" rd (read ~off:0 ~dst_off:0 ~words:9);
+  Alcotest.check_raises "negative words" rd (read ~off:0 ~dst_off:0 ~words:(-1));
+  Alcotest.check_raises "write off past the page" wr (write ~off:8 ~src_off:0 ~words:1);
+  Alcotest.check_raises "src_off past the buffer" wr (write ~off:0 ~src_off:4 ~words:1);
+  Alcotest.check_raises "write words beyond the buffer" wr (write ~off:0 ~src_off:0 ~words:5);
+  Alcotest.(check (list int)) "a rejected copy writes nothing" (List.init 8 (fun _ -> 0))
+    (List.init 8 (Frame.get f))
+
+let prop_frame_copy_matches_blit =
+  (* Frame copies are Array.blit without the write barrier: same words
+     moved, and Invalid_argument on exactly the ranges blit rejects. *)
+  QCheck.Test.make ~name:"frame copies match Array.blit, range checks included" ~count:500
+    QCheck.(quad (int_range (-2) 10) (int_range (-2) 6) (int_range (-2) 10) bool)
+    (fun (off, buf_off, words, reading) ->
+      let f = Frame.create ~mem_module:0 ~index:0 ~words:8 in
+      for i = 0 to 7 do
+        Frame.set f i (i + 1)
+      done;
+      let page = Array.init 8 (fun i -> i + 1) in
+      let buf = Array.init 5 (fun i -> -(i + 1)) and buf' = Array.init 5 (fun i -> -(i + 1)) in
+      let outcome g = match g () with () -> true | exception Invalid_argument _ -> false in
+      let ok, ok' =
+        if reading then
+          ( outcome (fun () -> Frame.read_words f ~off ~dst:buf ~dst_off:buf_off ~words),
+            outcome (fun () -> Array.blit page off buf' buf_off words) )
+        else
+          ( outcome (fun () -> Frame.write_words f ~off ~src:buf ~src_off:buf_off ~words),
+            outcome (fun () -> Array.blit buf' buf_off page off words) )
+      in
+      ok = ok' && buf = buf' && List.init 8 (Frame.get f) = Array.to_list page)
+
 (* --- Inverted_table --- *)
 
 let test_it_alloc_lookup () =
@@ -169,6 +232,9 @@ let suite =
     ("frame: blit size mismatch", `Quick, test_frame_blit_size_mismatch);
     ("frame: ownership", `Quick, test_frame_owner);
     ("frame: zero fill", `Quick, test_frame_zero_fill);
+    ("frame: copies at the page edges", `Quick, test_frame_copy_edges);
+    ("frame: out-of-range copies rejected", `Quick, test_frame_copy_out_of_range);
+    qtest prop_frame_copy_matches_blit;
     ("inverted table: alloc/lookup", `Quick, test_it_alloc_lookup);
     ("inverted table: double alloc rejected", `Quick, test_it_double_alloc_rejected);
     ("inverted table: exhaustion", `Quick, test_it_exhaustion);

@@ -192,7 +192,11 @@ let prop_eheap_threshold_straddle =
 let prop_eheap_matches_pairing =
   (* The tentpole contract: the array heap dequeues in exactly the pairing
      heap's order on any insert / delete-min interleaving.  Ops: [Some t] =
-     insert at time t (seq auto-increments), [None] = delete-min. *)
+     insert at time t (seq auto-increments), [None] = delete-min.  Every
+     drawn time is packed; one insert past [max_packed_time] is forced
+     halfway through, so the first half of each stream runs packed and the
+     second half in the fallback.  Starting at capacity 1 makes the heap
+     grow repeatedly on the way. *)
   QCheck.Test.make ~name:"eheap order == pairing heap order on random interleavings"
     ~count:500
     QCheck.(list (option (int_bound 50)))
@@ -209,25 +213,29 @@ let prop_eheap_matches_pairing =
       let eh = Eheap.create ~capacity:1 ~dummy:(-1) () in
       let seq = ref 0 in
       let mismatch = ref false in
-      List.iter
-        (fun op ->
-          match op with
-          | Some t ->
-            ph := PH.insert (t, !seq) !seq !ph;
-            Eheap.add eh ~time:t ~seq:!seq !seq;
-            incr seq
-          | None -> (
-            match PH.delete_min !ph with
-            | None -> if not (Eheap.is_empty eh) then mismatch := true
-            | Some (((t, s), v), rest) ->
-              ph := rest;
-              if
-                Eheap.is_empty eh
-                || Eheap.min_time eh <> t
-                || Eheap.min_seq eh <> s
-                || Eheap.pop eh <> v
-              then mismatch := true))
-        ops;
+      let insert t =
+        ph := PH.insert (t, !seq) !seq !ph;
+        Eheap.add eh ~time:t ~seq:!seq !seq;
+        incr seq
+      in
+      let step = function
+        | Some t -> insert t
+        | None -> (
+          match PH.delete_min !ph with
+          | None -> if not (Eheap.is_empty eh) then mismatch := true
+          | Some (((t, s), v), rest) ->
+            ph := rest;
+            if
+              Eheap.is_empty eh
+              || Eheap.min_time eh <> t
+              || Eheap.min_seq eh <> s
+              || Eheap.pop eh <> v
+            then mismatch := true)
+      in
+      let midway = List.length ops / 2 in
+      List.iter step (List.filteri (fun i _ -> i < midway) ops);
+      insert (Eheap.max_packed_time + 1);
+      List.iter step (List.filteri (fun i _ -> i >= midway) ops);
       (* Drain what's left: the tails must agree too. *)
       let rec drain () =
         match PH.delete_min !ph with
@@ -238,7 +246,36 @@ let prop_eheap_matches_pairing =
           drain ()
       in
       drain ();
-      not !mismatch)
+      (not !mismatch) && not (Eheap.is_packed eh))
+
+let test_eheap_no_retention () =
+  (* Popped payloads must not stay reachable from the heap: [pop] resets
+     the payload's slot, so the GC may reclaim what the caller dropped. *)
+  let h = Eheap.create ~capacity:2 ~dummy:(ref (-1)) () in
+  let n = 10 in
+  let w = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let v = ref i in
+      Weak.set w i (Some v);
+      Eheap.add h ~time:i ~seq:i v
+    done
+  in
+  let pop_half () =
+    for _ = 1 to n / 2 do
+      ignore (Sys.opaque_identity (Eheap.pop h))
+    done
+  in
+  (fill [@inlined never]) ();
+  (pop_half [@inlined never]) ();
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "payload %d %s" i (if i < n / 2 then "reclaimed" else "still queued"))
+      (i >= n / 2) (Weak.check w i)
+  done;
+  Alcotest.(check (list int)) "the rest still pop in order" [ 5; 6; 7; 8; 9 ]
+    (List.map (fun (_, _, v) -> !v) (drain_eheap h))
 
 (* --- Engine --- *)
 
@@ -521,6 +558,7 @@ let suite =
     ("eheap: packed-threshold edges", `Quick, test_eheap_threshold_edges);
     qtest prop_eheap_threshold_straddle;
     qtest prop_eheap_matches_pairing;
+    ("eheap: popped payloads are not retained", `Quick, test_eheap_no_retention);
     ("engine: time order", `Quick, test_engine_order);
     ("engine: FIFO tie-break", `Quick, test_engine_fifo_ties);
     ("engine: rejects the past", `Quick, test_engine_past_rejected);
