@@ -12,12 +12,13 @@
    Since the coalescing fast path (DESIGN.md section 4g) the per-word
    stream no longer pays a full suspend per word: while a fiber is armed,
    consecutive micro-ATC hits drain inline and are charged as one batched
-   operation at the next effect boundary.  The experiment gates that
-   ratchet: the per-word stream must stay within 12x of the batched
-   stream (the seed measured 17.9x; the residual gap is the semantic
-   floor — a coalesced word still pays the full per-word cache and
-   interconnect simulation so goldens stay byte-identical, while a block
-   descriptor legitimately bulk-charges).
+   operation at the next effect boundary, and a run of local words is
+   booked at its memory module as one acquisition (the local lane).  The
+   experiment gates that ratchet: the per-word stream must stay within 6x
+   of the batched stream (the seed measured 17.9x, the per-word-charged
+   coalescer 8-12x; the residual gap is one closure call, one slot check
+   and one frame access per word, where a block descriptor moves a whole
+   page run per trap).
 
    It also doubles as the allocation-budget gate: it measures
    [Gc.minor_words] deltas per access on three paths — the raw scratch
@@ -79,32 +80,37 @@ let sweep ~per_word ~n ~iters ~nprocs () =
 (* Data words the sweep moves: 3n read + n written per interior row. *)
 let sweep_words ~n ~iters = iters * (n - 2) * 4 * n
 
-(* Best of [reps] wall-clock runs (a fresh simulator instance each time),
-   plus the minor-heap words the whole stream allocates per data word
-   (measured on the last rep; [Gc.minor_words] is sampled outside the run
-   so the measurement itself is not in the window). *)
-let measure ~per_word ~n ~iters ~nprocs ~reps =
+(* One wall-clock run on a fresh simulator instance, plus the minor-heap
+   words the whole stream allocates per data word ([Gc.minor_words] is
+   sampled outside the run so the measurement itself is not in the
+   window) and the coalescer's statistics. *)
+let measure ~per_word ~n ~iters ~nprocs =
   let config = Config.butterfly_plus ~nprocs () in
-  let best = ref infinity in
-  let mwords = ref 0.0 in
   let fp = Platinum_kernel.Fastpath.ctx () in
-  let coalesced = ref 0 and fallbacks = ref 0 and runs = ref 0 in
+  Platinum_kernel.Fastpath.reset_stats fp;
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  ignore (Runner.time ~config (sweep ~per_word ~n ~iters ~nprocs));
+  let dt = Unix.gettimeofday () -. t0 in
+  let mwords = Gc.minor_words () -. m0 in
+  let st = Platinum_kernel.Fastpath.stats fp in
+  ( dt,
+    mwords /. float_of_int (sweep_words ~n ~iters),
+    ( st.Platinum_kernel.Fastpath.runs,
+      st.Platinum_kernel.Fastpath.coalesced,
+      st.Platinum_kernel.Fastpath.fallbacks ) )
+
+(* Best of [reps] runs of each stream, alternating one of each so a drift
+   in host speed (the shared development host's speed moves in phases)
+   hits both alike; allocation and coalescing are those of the last run. *)
+let measure_alternating ~n ~iters ~nprocs ~reps =
+  let merge (w, _, _) (w', m', s') = (Float.min w w', m', s') in
+  let word = ref (infinity, 0.0, (0, 0, 0)) and txn = ref (infinity, 0.0, (0, 0, 0)) in
   for _ = 1 to reps do
-    Platinum_kernel.Fastpath.reset_stats fp;
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    ignore (Runner.time ~config (sweep ~per_word ~n ~iters ~nprocs));
-    let dt = Unix.gettimeofday () -. t0 in
-    mwords := Gc.minor_words () -. m0;
-    let st = Platinum_kernel.Fastpath.stats fp in
-    coalesced := st.Platinum_kernel.Fastpath.coalesced;
-    fallbacks := st.Platinum_kernel.Fastpath.fallbacks;
-    runs := st.Platinum_kernel.Fastpath.runs;
-    if dt < !best then best := dt
+    word := merge !word (measure ~per_word:true ~n ~iters ~nprocs);
+    txn := merge !txn (measure ~per_word:false ~n ~iters ~nprocs)
   done;
-  ( !best,
-    !mwords /. float_of_int (sweep_words ~n ~iters),
-    (!runs, !coalesced, !fallbacks) )
+  (!word, !txn)
 
 (* --- the steady-state hit, measured bare ---
 
@@ -148,12 +154,11 @@ let run (scale : Exp_common.scale) =
   Exp_common.section "throughput: wall-clock words/second of the memory hot path";
   let n = if scale.Exp_common.full then 384 else 256 in
   let iters = if scale.Exp_common.full then 8 else 4 in
-  let nprocs = 4 and reps = 3 in
+  let nprocs = 4 and reps = 5 in
   let words = sweep_words ~n ~iters in
-  let wall_word, mwpa_word, (runs, coalesced, fallbacks) =
-    measure ~per_word:true ~n ~iters ~nprocs ~reps
+  let (wall_word, mwpa_word, (runs, coalesced, fallbacks)), (wall_txn, mwpa_txn, _) =
+    measure_alternating ~n ~iters ~nprocs ~reps
   in
-  let wall_txn, mwpa_txn, _ = measure ~per_word:false ~n ~iters ~nprocs ~reps in
   let steady_ops = 1_000_000 in
   let steady_wall, mwpa_steady = measure_steady ~ops:steady_ops in
   let rate w = float_of_int words /. w in
@@ -173,12 +178,12 @@ let run (scale : Exp_common.scale) =
     steady_wall (float_of_int steady_ops /. steady_wall);
   Exp_common.check_shape "batched stream moves >= 2x words/sec" (speedup >= 2.0);
   (* The coalescing ratchet (DESIGN.md section 4g): the seed's per-word
-     stream trailed the batched stream by 17.9x; with the effect-boundary
-     coalescer the gap must stay within 12x.  (It cannot reach parity: a
-     coalesced word still pays the full per-word cache + interconnect
-     simulation so Counters and goldens stay byte-identical, while a
-     block descriptor bulk-charges.) *)
-  let ratio_limit = 12.0 in
+     stream trailed the batched stream by 17.9x, the coalescer with
+     per-word module charging by 8-12x; with local runs booked once per
+     module segment the gap must stay within 6x.  (Remote words, rmws and
+     cached configurations still pay the per-word interconnect
+     simulation.) *)
+  let ratio_limit = 6.0 in
   let ratio_ok = speedup <= ratio_limit in
   Exp_common.check_shape
     (Printf.sprintf "per-word stream within %.0fx of batched (seed: 17.9x)" ratio_limit)

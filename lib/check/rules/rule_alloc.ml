@@ -37,8 +37,9 @@ let catalogue =
     ( "coherent.ml",
       [
         "fp_bump"; "fp_epoch"; "fp_page_ok"; "fp_read"; "fp_write"; "fp_rmw";
-        "read_word_s"; "write_word_s"; "rmw_word_s"; "finish_read"; "finish_write";
-        "finish_rmw"; "after_write_inline"; "page_of"; "only_holder_maps";
+        "fp_lane_probe"; "fp_lane_wait"; "fp_lane_charge"; "read_word_s"; "write_word_s";
+        "rmw_word_s"; "finish_read"; "finish_write"; "finish_rmw"; "after_write_inline";
+        "page_of"; "only_holder_maps";
       ] );
     ("flat.ml", [ "find"; "mem"; "remove"; "chunk_touched" ]);
     ("atc.ml", [ "find"; "peek" ]);
@@ -53,8 +54,9 @@ let catalogue =
     ( "fastpath.ml",
       [
         "arm"; "close"; "armed"; "value"; "slot_ok"; "decline"; "vpage_of";
-        "try_read"; "try_write"; "try_rmw";
+        "offset_of"; "flush"; "lane_step"; "try_read"; "try_write"; "try_rmw";
       ] );
+    ("memmodule.ml", [ "acquire"; "acquire_run"; "busy_until" ]);
     ("hist.ml", [ "record"; "record_n"; "index_of"; "bits_above" ]);
   ]
 

@@ -34,14 +34,6 @@ let activate t ~aspace =
     true
   end
 
-(* lint: allow epoch-soundness — teardown entry point with no in-library
-   callers (tests and future kernels drop an ATC wholesale); emptying the
-   ATC can only turn fast-path hits into declines, never admit a stale
-   hit, so no epoch bump is needed for soundness. *)
-let deactivate t =
-  flush t;
-  t.aspace <- -1
-
 (* Both arms return the stored option cell — a hit never allocates. *)
 let find t ~aspace ~vpage =
   if t.aspace <> aspace then None

@@ -19,8 +19,6 @@ val activate : t -> aspace:int -> bool
 (** Make [aspace] current.  Returns [true] (and flushes) when this changed
     the active space. *)
 
-val deactivate : t -> unit
-
 val find : t -> aspace:int -> vpage:int -> Pmap.entry option
 (** Hit only if [aspace] is the active one and the translation is cached. *)
 

@@ -1,5 +1,6 @@
 module Machine = Platinum_machine.Machine
 module Config = Platinum_machine.Config
+module Memmodule = Platinum_machine.Memmodule
 module Xbar = Platinum_machine.Xbar
 module Procset = Platinum_machine.Procset
 module Frame = Platinum_phys.Frame
@@ -576,6 +577,46 @@ let fp_rmw t ~now ~proc ~cmap:cm ~vpage ~vaddr f =
   else -1
 
 let fp_value_cell t = t.fp_value
+
+(* --- the local lane (DESIGN.md §4g) ---
+
+   A read or write hit on a frame in the processor's own module, with the
+   §7 caches off and no live fault plane, costs [t_local_word] of latency
+   and exactly as much module service, plus the module's queueing delay.
+   So k such words issued back to back are contiguous on the module: only
+   the first can wait, and each later one arrives as the previous service
+   ends.  The coalescer therefore reads the frame itself and books the
+   whole segment with one [fp_lane_charge], leaving the module exactly as
+   k per-word acquisitions would.
+
+   [fp_lane_probe] admits a page to the lane: it returns the ATC's own
+   stored entry cell (never a fresh [Some]) for a clean hit on a local
+   frame with caches off, [None] otherwise.  The cell stays valid while
+   {!fp_epoch} is unchanged — every path that drops or supersedes an ATC
+   entry, or switches the active space, bumps it.  The caller gates on
+   the fault plane, which is sampled per arm. *)
+let fp_lane_probe t ~proc ~cmap:cm ~vpage =
+  let aspace = Cmap.aspace cm in
+  if Machine.caches_enabled t.machine || t.active_aspace.(proc) <> aspace then None
+  else
+    match Atc.find t.atcs.(proc) ~aspace ~vpage with
+    | Some e as cell -> (
+      match Config.hop (config t) ~src:proc ~dst:(Frame.mem_module e.Pmap.frame) with
+      | Config.Local -> cell
+      | Config.Intra | Config.Cross -> None)
+    | None -> None
+
+(* The queueing delay the first word of a segment opening at [now] sees. *)
+let fp_lane_wait t ~mem_module ~now =
+  let w = Memmodule.busy_until (Machine.mem_module t.machine mem_module) - now in
+  if w > 0 then w else 0
+
+(* Book a closed segment of [words] lane words that opened at [arrival]. *)
+let fp_lane_charge t ~mem_module ~arrival ~words =
+  let service = words * (config t).Config.t_local_word in
+  ignore
+    (Memmodule.acquire_run (Machine.mem_module t.machine mem_module) ~arrival ~service
+       ~requests:words)
 
 (* The multi-word access path.  Memtxn.run drives the per-page chunk loop
    and the latency accumulation; this chunk_cost supplies the PLATINUM

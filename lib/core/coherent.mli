@@ -107,6 +107,25 @@ val fp_rmw :
 val fp_value_cell : t -> int ref
 (** The shared result cell the last successful {!fp_read}/{!fp_rmw} wrote. *)
 
+(* --- the local lane (DESIGN.md §4g) --- *)
+
+val fp_lane_probe : t -> proc:int -> cmap:Cmap.t -> vpage:int -> Pmap.entry option
+(** The ATC's stored entry cell for [vpage] (allocation-free) when the
+    page may take the local lane: the cmap's aspace active on [proc], the
+    translation an ATC hit, its frame on [proc]'s own module, and the §7
+    caches disabled.  [None] otherwise.  Valid while {!fp_epoch} is
+    unchanged; rights and frozen state are {!fp_page_ok}'s to check. *)
+
+val fp_lane_wait : t -> mem_module:int -> now:Platinum_sim.Time_ns.t -> int
+(** Queueing delay a lane segment opening at [now] on [mem_module] sees:
+    [max 0 (busy_until - now)]. *)
+
+val fp_lane_charge :
+  t -> mem_module:int -> arrival:Platinum_sim.Time_ns.t -> words:int -> unit
+(** Book a segment of [words] contiguous local words that opened at
+    [arrival] as one module reservation of [words * t_local_word] ns and
+    [words] requests — identical to [words] per-word acquisitions. *)
+
 val translate :
   t ->
   now:Platinum_sim.Time_ns.t ->

@@ -11,7 +11,15 @@
 
     Eligibility and invalidation are documented on {!ops}; slots cached
     in the per-thread {!buf} die whenever the coherent layer bumps its
-    epoch (remap, freeze, thaw, shootdown, retraction, monitor change). *)
+    epoch (remap, freeze, thaw, shootdown, retraction, monitor change).
+
+    Local read and write hits (frame on the running processor's module,
+    caches off, no live fault plane) take the {e local lane}: the word
+    reads or writes the frame directly, and each run of them on one
+    module is booked as a single {!Platinum_machine.Memmodule.acquire_run}
+    — exactly what per-word acquisition would leave behind, because such
+    words are contiguous on the module.  Every other word keeps the
+    per-word [fp_read]/[fp_write]/[fp_rmw] cores. *)
 
 (** Backend operations; see the implementation for per-field contracts.
     The word ops return the access latency on a clean hit, [-1] on
@@ -32,6 +40,11 @@ type ops = {
     now:int -> proc:int -> cmap:Platinum_core.Cmap.t -> vpage:int -> vaddr:int ->
     f:(int -> int) -> int;
   fp_value : int ref;
+  fp_lane_probe :
+    proc:int -> cmap:Platinum_core.Cmap.t -> vpage:int -> Platinum_core.Pmap.entry option;
+  fp_lane_word_ns : int;
+  fp_lane_wait : mem_module:int -> now:int -> int;
+  fp_lane_charge : mem_module:int -> arrival:int -> words:int -> unit;
 }
 
 type buf
@@ -58,8 +71,9 @@ val arm :
     ([max_int] when the thread cannot be preempted). *)
 
 val close : ctx -> int
-(** Disarm and return the accumulated latency to charge (0 = nothing was
-    coalesced; the settle must then be free of any engine event). *)
+(** Book any open lane segment, disarm and return the accumulated latency
+    to charge (0 = nothing was coalesced; the settle must then be free of
+    any engine event). *)
 
 val armed : ctx -> bool
 
@@ -78,6 +92,7 @@ type stats = {
   mutable runs : int;
   mutable coalesced : int;
   mutable fallbacks : int;
+  mutable lane : int;  (** coalesced words that took the local lane *)
 }
 
 val stats : ctx -> stats

@@ -9,7 +9,6 @@ type thread_state =
   | Runnable
   | Running
   | Blocked
-  | Finished
 
 type thread = {
   tid : int;
@@ -20,7 +19,9 @@ type thread = {
   mutable resume : (unit -> unit) option;  (* pending continuation *)
   mutable joiners : int list;
   mutable quantum_used : int;
-  runbuf : Fastpath.buf;  (* per-thread coalescing slots (DESIGN.md §4g) *)
+  mutable runbuf : Fastpath.buf option;
+      (* per-thread coalescing slots (DESIGN.md §4g), built at the first arm:
+         a kernel that never coalesces never pays for them *)
 }
 
 type port = {
@@ -39,7 +40,7 @@ type t = {
   runqs : int Queue.t array;
   proc_active : bool array;  (* an event for this processor is in flight *)
   ports : (int, port) Hashtbl.t;
-  mutable next_tid : int;
+  mutable next_tid : int;  (* tids below it were issued; finished ones leave [threads] *)
   mutable next_pid : int;
   mutable live : int;
   mutable created : int;
@@ -129,7 +130,7 @@ let make_thread t ~proc ~aspace body =
       resume = None;
       joiners = [];
       quantum_used = 0;
-      runbuf = Fastpath.make_buf ();
+      runbuf = None;
     }
   in
   Hashtbl.replace t.threads tid th;
@@ -160,7 +161,15 @@ let arm t th =
       if Queue.is_empty (runq t th.proc) then max_int
       else (config t).Config.quantum_ns - th.quantum_used
     in
-    Fastpath.arm (Fastpath.ctx ()) ops ~buf:th.runbuf ~base:(Engine.now t.engine)
+    let buf =
+      match th.runbuf with
+      | Some b -> b
+      | None ->
+        let b = Fastpath.make_buf () in
+        th.runbuf <- Some b;
+        b
+    in
+    Fastpath.arm (Fastpath.ctx ()) ops ~buf ~base:(Engine.now t.engine)
       ~proc:th.proc ~aspace:th.aspace ~quantum_left
   | _ -> ()
 
@@ -196,8 +205,12 @@ and wake ?src t th =
     Engine.post t.engine ~src ~dst:th.proc ~delay (fun () -> dispatch t th.proc)
   end
 
+(* A finished thread leaves the table, so its body closure and run buffer
+   can be collected: a server that spawns a worker per request would
+   otherwise keep every record alive.  [Join] tells a finished tid from
+   an unknown one by [next_tid]. *)
 and finish_thread t th =
-  th.state <- Finished;
+  Hashtbl.remove t.threads th.tid;
   t.live <- t.live - 1;
   if t.live = 0 then t.finished_at <- Engine.now t.engine;
   List.iter (fun tid -> wake ~src:th.proc t (thread t tid)) th.joiners;
@@ -343,14 +356,14 @@ and start_fiber t th =
             Some
               (fun k ->
                 settle t th (fun () ->
-                    match thread t tid with
-                    | exception e -> Effect.Deep.discontinue k e
-                    | target ->
-                      if target.state = Finished then complete t th k () 0
-                      else begin
-                        target.joiners <- th.tid :: target.joiners;
-                        block t th k (lazy ())
-                      end))
+                    match Hashtbl.find_opt t.threads tid with
+                    | Some target ->
+                      target.joiners <- th.tid :: target.joiners;
+                      block t th k (lazy ())
+                    | None when tid >= 0 && tid < t.next_tid -> complete t th k () 0
+                    | None ->
+                      Effect.Deep.discontinue k
+                        (Invalid_argument (Printf.sprintf "Kernel: unknown thread %d" tid))))
           | Eff.Migrate proc ->
             Some
               (fun k ->
@@ -540,17 +553,15 @@ let post_run_checks t =
   | None -> ());
   if t.live > 0 then begin
     let stuck =
-      Hashtbl.fold
-        (fun tid th acc -> if th.state = Finished then acc else (tid, th.state) :: acc)
-        t.threads []
+      Hashtbl.fold (fun tid th acc -> (tid, th.state) :: acc) t.threads []
+      |> List.sort compare
     in
     let describe (tid, st) =
       Printf.sprintf "thread %d %s" tid
         (match st with
         | Blocked -> "blocked"
         | Runnable -> "runnable"
-        | Running -> "running"
-        | Finished -> "finished")
+        | Running -> "running")
     in
     raise (Deadlock (String.concat ", " (List.map describe stuck)))
   end;

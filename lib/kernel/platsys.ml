@@ -177,6 +177,13 @@ let memsys t =
           (fun ~now ~proc ~cmap ~vpage ~vaddr ~f ->
             Coherent.fp_rmw coh ~now ~proc ~cmap ~vpage ~vaddr f);
         fp_value = Coherent.fp_value_cell coh;
+        fp_lane_probe =
+          (fun ~proc ~cmap ~vpage -> Coherent.fp_lane_probe coh ~proc ~cmap ~vpage);
+        fp_lane_word_ns = (Coherent.config coh).Platinum_machine.Config.t_local_word;
+        fp_lane_wait = (fun ~mem_module ~now -> Coherent.fp_lane_wait coh ~mem_module ~now);
+        fp_lane_charge =
+          (fun ~mem_module ~arrival ~words ->
+            Coherent.fp_lane_charge coh ~mem_module ~arrival ~words);
       }
   in
   {

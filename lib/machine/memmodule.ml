@@ -9,14 +9,23 @@ type t = {
 let create module_id = { module_id; busy_horizon = 0; busy_ns = 0; wait_ns = 0; nrequests = 0 }
 let id t = t.module_id
 
-let acquire t ~arrival ~service =
+(* [requests] back-to-back requests booked as one reservation.  Only the
+   first can wait: each later one arrives exactly as its predecessor's
+   service ends, so start, horizon, busy and wait time all equal those of
+   [requests] separate acquisitions — and the request count advances by
+   [requests] too.  Int comparisons, not the polymorphic [Stdlib.max]:
+   every simulated memory reference passes through here. *)
+let[@inline] acquire_run t ~arrival ~service ~requests =
   if service < 0 then invalid_arg "Memmodule.acquire: negative service";
-  let start = max arrival t.busy_horizon in
+  if requests < 1 then invalid_arg "Memmodule.acquire_run: no requests";
+  let start = if arrival >= t.busy_horizon then arrival else t.busy_horizon in
   t.busy_horizon <- start + service;
   t.busy_ns <- t.busy_ns + service;
   t.wait_ns <- t.wait_ns + (start - arrival);
-  t.nrequests <- t.nrequests + 1;
+  t.nrequests <- t.nrequests + requests;
   start
+
+let acquire t ~arrival ~service = acquire_run t ~arrival ~service ~requests:1
 
 let busy_until t = t.busy_horizon
 

@@ -19,6 +19,15 @@ val acquire : t -> arrival:Platinum_sim.Time_ns.t -> service:int -> Platinum_sim
     starting at [max arrival busy_until]; returns the start time.  The
     caller's latency contribution is [(start - arrival) + service]. *)
 
+val acquire_run :
+  t -> arrival:Platinum_sim.Time_ns.t -> service:int -> requests:int -> Platinum_sim.Time_ns.t
+(** [acquire_run m ~arrival ~service ~requests] books [requests]
+    back-to-back requests whose services sum to [service] as one
+    reservation.  It is state- and statistics-identical to [requests]
+    successive {!acquire}s when each later request arrives exactly when
+    its predecessor's service ends (a contiguous run: per-request latency
+    equals per-request service).  [requests] must be positive. *)
+
 val busy_until : t -> Platinum_sim.Time_ns.t
 
 val reserve_until : t -> Platinum_sim.Time_ns.t -> unit

@@ -25,6 +25,9 @@ let uncontended_word_ns (c : Config.t) kind ~(hop : Config.hop) =
     | Write -> c.t_remote_write_word + c.t_cross_write_extra
     | Rmw -> c.t_remote_read_word + c.t_cross_read_extra + c.t_module_service)
 
+(* Monomorphic: [Stdlib.max] is a polymorphic compare on every call. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
+
 (* Fault injection lives at the module serialization point: a transient
    stall lengthens this one request's service; a hard outage pushes the
    module's busy horizon out, so this request — and everything arriving
@@ -38,7 +41,7 @@ let module_fault inject m ~now =
     | `None -> 0
     | `Stall n -> n
     | `Outage n ->
-      Memmodule.reserve_until m (max now (Memmodule.busy_until m) + n);
+      Memmodule.reserve_until m (imax now (Memmodule.busy_until m) + n);
       0)
 
 (* The one interconnect primitive behind every memory transaction chunk:
@@ -93,7 +96,7 @@ let block_copy ?inject (c : Config.t) modules ~now ~src ~dst ~words =
     end
     else begin
       (* The transfer starts once both modules are free and holds both. *)
-      let arrival = max now (max (Memmodule.busy_until msrc) (Memmodule.busy_until mdst)) in
+      let arrival = imax now (imax (Memmodule.busy_until msrc) (Memmodule.busy_until mdst)) in
       let start = Memmodule.acquire msrc ~arrival ~service:duration in
       Memmodule.reserve_until mdst (start + duration);
       (start - now) + duration

@@ -3,7 +3,8 @@ type t = {
   page_words : int;
   frames : Frame.t option array;  (* materialized on first allocation *)
   by_cpage : (int, int) Hashtbl.t;  (* cpage id -> frame index *)
-  mutable free_list : int list;
+  mutable free_list : int list;  (* freed frames, most recently freed first *)
+  mutable next_fresh : int;  (* frames from here on were never handed out *)
   mutable nfree : int;
 }
 
@@ -14,7 +15,11 @@ type t = {
    frame is handed out; once materialized it is reused across free/alloc
    cycles, preserving physical identity (a re-allocated frame is the same
    [Frame.t], with whatever stale data it last held — exactly the eager
-   behaviour). *)
+   behaviour).  The free list is lazy for the same reason: frames never
+   handed out are the range from [next_fresh] on, taken in index order
+   once the freed ones (reused first, most recently freed first) run
+   out — the order a list [0; 1; ...] with frees pushed on its head
+   gives. *)
 let frame_at t i =
   match t.frames.(i) with
   | Some f -> f
@@ -26,13 +31,13 @@ let frame_at t i =
 let create ~mem_module ~frames ~page_words =
   if frames <= 0 then invalid_arg "Inverted_table.create: frames must be positive";
   if page_words <= 0 then invalid_arg "Inverted_table.create: page_words must be positive";
-  let free_list = List.init frames (fun i -> i) in
   {
     table_module = mem_module;
     page_words;
     frames = Array.make frames None;
     by_cpage = Hashtbl.create (frames * 2);
-    free_list;
+    free_list = [];
+    next_fresh = 0;
     nfree = frames;
   }
 
@@ -46,15 +51,24 @@ let alloc t ~cpage =
     invalid_arg
       (Printf.sprintf "Inverted_table.alloc: module %d already backs cpage %d"
          t.table_module cpage);
-  match t.free_list with
-  | [] -> None
-  | i :: rest ->
-    t.free_list <- rest;
+  let i =
+    match t.free_list with
+    | i :: rest ->
+      t.free_list <- rest;
+      i
+    | [] ->
+      let i = t.next_fresh in
+      if i < Array.length t.frames then t.next_fresh <- i + 1;
+      i
+  in
+  if i >= Array.length t.frames then None
+  else begin
     t.nfree <- t.nfree - 1;
     let f = frame_at t i in
     Frame.set_owner f (Some cpage);
     Hashtbl.replace t.by_cpage cpage i;
     Some f
+  end
 
 let lookup t ~cpage =
   match Hashtbl.find_opt t.by_cpage cpage with

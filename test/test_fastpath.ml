@@ -8,14 +8,24 @@
    differential here runs random access programs both ways and compares
    full fingerprints; the unit tests pin the invalidation hooks (epoch
    bumps) and the mandatory fallbacks (frozen page, armed monitor,
-   pending injected fault). *)
+   pending injected fault).
+
+   The fingerprint covers the memory modules too (requests, busy and
+   wait time, busy horizon): the local lane books runs of local words as
+   one module acquisition, and that is exactly what elapsed time and
+   Counters cannot see. *)
 
 module Api = Platinum_kernel.Api
 module Fastpath = Platinum_kernel.Fastpath
 module Memsys = Platinum_kernel.Memsys
+module Kernel = Platinum_kernel.Kernel
+module Platsys = Platinum_kernel.Platsys
 module Runner = Platinum_runner.Runner
 module Config = Platinum_machine.Config
 module Machine = Platinum_machine.Machine
+module Memmodule = Platinum_machine.Memmodule
+module Addr_space = Platinum_vm.Addr_space
+module Defrost = Platinum_core.Defrost
 module Engine = Platinum_sim.Engine
 module Inject = Platinum_sim.Inject
 module Coherent = Platinum_core.Coherent
@@ -28,16 +38,24 @@ module Check = Platinum_core.Check
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let modules_fingerprint machine =
+  Machine.modules machine
+  |> Array.map (fun m ->
+         Printf.sprintf "[req=%d busy=%d wait=%d until=%d]" (Memmodule.requests m)
+           (Memmodule.total_busy_ns m) (Memmodule.total_wait_ns m) (Memmodule.busy_until m))
+  |> Array.to_list |> String.concat ""
+
 let fingerprint (r : Runner.result) =
   let c = Coherent.counters r.Runner.setup.Runner.coherent in
   Printf.sprintf
     "elapsed=%d rf=%d wf=%d vm=%d repl=%d migr=%d rmap=%d freeze=%d thaw=%d sd=%d msg=%d \
-     int=%d def=%d zf=%d atc=%d fault_ns=%d copy_ns=%d"
+     int=%d def=%d zf=%d atc=%d fault_ns=%d copy_ns=%d modules=%s"
     r.Runner.elapsed c.Counters.read_faults c.Counters.write_faults c.Counters.vm_faults
     c.Counters.replications c.Counters.migrations c.Counters.remote_maps c.Counters.freezes
     c.Counters.thaws c.Counters.shootdowns c.Counters.messages c.Counters.interrupts
     c.Counters.deferred_updates c.Counters.zero_fills c.Counters.atc_reloads
     c.Counters.fault_ns c.Counters.copy_ns
+    (modules_fingerprint r.Runner.setup.Runner.machine)
 
 (* --- the differential: coalesce on ≡ coalesce off --- *)
 
@@ -105,6 +123,165 @@ let prop_differential =
       if fp_on <> fp_off then
         QCheck.Test.fail_reportf "fingerprints differ:\n  on:  %s\n  off: %s" fp_on fp_off;
       true)
+
+(* --- the local lane: local words booked per segment, not per word --- *)
+
+(* A program over a four-page buffer on four processors, each page
+   first-touched by a different processor.  It is a list of segments,
+   each a processor and the word ops a thread there performs, so one
+   thread's run mixes local lane words with remote words and rmws: lane
+   segments open, flush and restart mid-run.  Under PLATINUM's policy,
+   replication, migration and invalidation move pages between local and
+   remote underneath; under static placement every page stays where it
+   was first touched, so most words are coalesced remote words. *)
+type mop = M_read of int | M_write of int * int | M_rmw of int
+
+let mpage_words = 64
+let mbuf_words = 4 * mpage_words
+
+let gen_mop =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun o -> M_read o) (int_bound (mbuf_words - 1)));
+        (4, map2 (fun o v -> M_write (o, v)) (int_bound (mbuf_words - 1)) (int_bound 9999));
+        (1, map (fun o -> M_rmw o) (int_bound (mbuf_words - 1)));
+      ])
+
+let show_mop = function
+  | M_read o -> Printf.sprintf "R%d" o
+  | M_write (o, v) -> Printf.sprintf "W%d=%d" o v
+  | M_rmw o -> Printf.sprintf "M%d" o
+
+let arb_mprog =
+  QCheck.make
+    ~print:QCheck.Print.(pair bool (list (pair int (list show_mop))))
+    QCheck.Gen.(
+      pair bool
+        (list_size (int_range 1 8) (pair (int_bound 3) (list_size (int_range 1 50) gen_mop))))
+
+let policy_of ~static config =
+  Policy.make ~t1:config.Config.t1_freeze_window
+    (if static then Policy.Never_move else Policy.Platinum { thaw_on_fault = false })
+
+let mconfig = Config.butterfly_plus ~nprocs:4 ~page_words:mpage_words ()
+
+(* The Runner stack, optionally with the local lane forced off: the same
+   coalescer with every word on the per-word cores — the reference the
+   lane must match exactly, concurrency included. *)
+let make_setup ?(config = mconfig) ?(coalesce = true) ~static ~lane () =
+  let policy = policy_of ~static config in
+  if lane then
+    Runner.make ~config ~policy ~frames_per_module:64 ~default_zone_pages:32 ~coalesce ()
+  else begin
+    let engine = Engine.create () in
+    let machine = Machine.create config in
+    let coherent = Coherent.create machine ~engine ~policy ~frames_per_module:64 () in
+    let aspace = Addr_space.create coherent in
+    let platsys = Platsys.create coherent aspace ~default_zone_pages:32 () in
+    let ms = Platsys.memsys platsys in
+    let no_lane (o : Fastpath.ops) =
+      { o with Fastpath.fp_lane_probe = (fun ~proc:_ ~cmap:_ ~vpage:_ -> None) }
+    in
+    let memsys = { ms with Memsys.fastpath = Option.map no_lane ms.Memsys.fastpath } in
+    let kernel = Kernel.create ~coalesce ~engine ~machine ~memsys () in
+    Defrost.install coherent engine;
+    { Runner.engine; machine; coherent; aspace; platsys; kernel }
+  end
+
+(* Run [prog]: the first-touch phase, then its segments — one after
+   another, or all at once when [concurrent].  Returns (observed values,
+   fingerprint, lane words). *)
+let run_mprog ?config ?coalesce ~lane ~concurrent (static, prog) =
+  let observed = ref [] in
+  let note v = observed := v :: !observed in
+  let run_mops buf ops =
+    List.iter
+      (function
+        | M_read o -> note (Api.read (buf + o))
+        | M_write (o, v) -> Api.write (buf + o) v
+        | M_rmw o -> note (Api.rmw (buf + o) (fun v -> v + 1)))
+      ops
+  in
+  let c = Fastpath.ctx () in
+  Fastpath.reset_stats c;
+  let setup = make_setup ?config ?coalesce ~static ~lane () in
+  let r =
+    Runner.run setup ~main:(fun () ->
+        let buf = Api.alloc ~page_aligned:true mbuf_words in
+        for p = 0 to 3 do
+          Api.join (Api.spawn ~proc:p (fun () -> Api.write (buf + (p * mpage_words)) p))
+        done;
+        let spawn (proc, ops) = Api.spawn ~proc (fun () -> run_mops buf ops) in
+        if concurrent then List.iter Api.join (List.map spawn prog)
+        else List.iter (fun seg -> Api.join (spawn seg)) prog)
+  in
+  (List.rev !observed, fingerprint r, (Fastpath.stats c).Fastpath.lane)
+
+let check_same what (v_a, fp_a, _) (v_b, fp_b, _) =
+  if v_a <> v_b then QCheck.Test.fail_reportf "%s: observed values differ" what;
+  if fp_a <> fp_b then
+    QCheck.Test.fail_reportf "%s: fingerprints differ:\n  %s\n  %s" what fp_a fp_b
+
+let prop_lane_differential =
+  QCheck.Test.make ~name:"4 procs, mixed local/remote: lane ≡ per-word ≡ coalesce off"
+    ~count:40 arb_mprog (fun prog ->
+      let off = run_mprog ~coalesce:false ~lane:true ~concurrent:false prog in
+      let lane = run_mprog ~lane:true ~concurrent:false prog in
+      let per_word = run_mprog ~lane:false ~concurrent:false prog in
+      check_same "lane vs coalesce off" lane off;
+      check_same "lane vs per-word cores" lane per_word;
+      true)
+
+(* Concurrent threads: a coalesced run is charged at [base + acc] rather
+   than interleaved word by word, so coalesce on and off legitimately
+   differ here — but the lane must still match the per-word cores. *)
+let prop_lane_concurrent =
+  QCheck.Test.make ~name:"4 concurrent threads: lane ≡ per-word cores" ~count:40 arb_mprog
+    (fun prog ->
+      let lane = run_mprog ~lane:true ~concurrent:true prog in
+      let per_word = run_mprog ~lane:false ~concurrent:true prog in
+      check_same "lane vs per-word cores" lane per_word;
+      true)
+
+(* The mixed program must exercise both paths, or the properties above
+   are vacuous: lane words and per-word coalesced words in one run. *)
+let test_lane_engages () =
+  let prog =
+    ( true,
+      [
+        (0, [ M_read 1; M_read 2; M_write (3, 7); M_read 70; M_read 4; M_rmw 5; M_read 6 ]);
+        (2, [ M_read 130; M_read 131; M_write (10, 1); M_write (132, 2); M_read 133 ]);
+      ] )
+  in
+  let c = Fastpath.ctx () in
+  let _, _, lane = run_mprog ~lane:true ~concurrent:false prog in
+  let st = Fastpath.stats c in
+  Alcotest.(check bool) (Printf.sprintf "lane words (got %d)" lane) true (lane > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "per-word coalesced words too (%d coalesced)" st.Fastpath.coalesced)
+    true
+    (st.Fastpath.coalesced > lane);
+  let _, _, lane_off = run_mprog ~lane:false ~concurrent:false prog in
+  Alcotest.(check int) "forced off, the lane never runs" 0 lane_off
+
+(* The §7 caches break the lane's identity (a cached read costs
+   [t_cache_hit] and no module time), so with caches on no word may take
+   the lane — and coalescing must still match the per-effect path. *)
+let test_caches_disable_lane () =
+  let config = Config.with_local_caches mconfig in
+  let prog =
+    ( false,
+      [
+        (1, List.init 40 (fun i -> if i land 1 = 0 then M_read (64 + i) else M_write (64 + i, i)));
+        (0, List.init 40 (fun i -> M_read (64 + i)));
+      ] )
+  in
+  let v_on, fp_on, lane = run_mprog ~config ~lane:true ~concurrent:false prog in
+  let v_off, fp_off, _ = run_mprog ~config ~coalesce:false ~lane:true ~concurrent:false prog in
+  Alcotest.(check int) "caches on: no lane words" 0 lane;
+  Alcotest.(check (list int)) "values identical" v_off v_on;
+  Alcotest.(check string) "fingerprint identical" fp_off fp_on
 
 (* The coalescer must actually engage on the kind of stream it exists
    for — otherwise the differential above is vacuous. *)
@@ -276,6 +453,20 @@ let run_injected ~coalesce ~rate () =
   let r =
     Runner.run setup ~main:(fun () ->
         let buf = Api.alloc ~page_aligned:true 1024 in
+        (* The shared buffer is write-shared and soon frozen; each
+           processor's private page stays local, the stream the coalescer
+           drains.  The private phases run one after the other: a
+           coalesced run is charged at [base + acc], so concurrent runs
+           contending for one module are not word-for-word comparable. *)
+        let priv = Array.init 2 (fun _ -> Api.alloc ~page_aligned:true 256) in
+        let private_phase me () =
+          for i = 0 to 255 do
+            Api.write (priv.(me) + i) (i * me)
+          done;
+          for i = 0 to 255 do
+            out := !out + Api.read (priv.(me) + i)
+          done
+        in
         let worker me () =
           for i = 0 to 1023 do
             if i land 1 = me then Api.write (buf + i) (i + me)
@@ -286,7 +477,9 @@ let run_injected ~coalesce ~rate () =
         in
         let t = Api.spawn ~proc:1 (worker 1) in
         worker 0 ();
-        Api.join t)
+        Api.join t;
+        Api.join (Api.spawn ~proc:1 (private_phase 1));
+        private_phase 0 ())
   in
   let inj =
     match Machine.inject setup.Runner.machine with Some i -> i | None -> assert false
@@ -294,13 +487,26 @@ let run_injected ~coalesce ~rate () =
   (!out, fingerprint r, Inject.fingerprint inj, Inject.faults_injected inj)
 
 let test_injection_differential () =
+  let c = Fastpath.ctx () in
+  Fastpath.reset_stats c;
   let v_on, fp_on, inj_on, faults_on = run_injected ~coalesce:true ~rate:0.02 () in
+  let st = Fastpath.stats c in
+  Alcotest.(check bool) "words still coalesced under the plane" true (st.Fastpath.coalesced > 0);
+  Alcotest.(check int) "no lane word while the plane is live" 0 st.Fastpath.lane;
   let v_off, fp_off, inj_off, faults_off = run_injected ~coalesce:false ~rate:0.02 () in
   Alcotest.(check bool) "the schedule actually injected" true (faults_on > 0);
   Alcotest.(check int) "values identical under injection" v_off v_on;
   Alcotest.(check string) "protocol fingerprint identical" fp_off fp_on;
   Alcotest.(check string) "injector fingerprint identical" inj_off inj_on;
-  Alcotest.(check int) "fault count identical" faults_off faults_on
+  Alcotest.(check int) "fault count identical" faults_off faults_on;
+  (* An idle plane (rate 0) draws nothing, so the lane runs — and stays
+     exact. *)
+  Fastpath.reset_stats c;
+  let v_on, fp_on, _, _ = run_injected ~coalesce:true ~rate:0.0 () in
+  Alcotest.(check bool) "idle plane: the lane runs" true ((Fastpath.stats c).Fastpath.lane > 0);
+  let v_off, fp_off, _, _ = run_injected ~coalesce:false ~rate:0.0 () in
+  Alcotest.(check int) "idle plane: values identical" v_off v_on;
+  Alcotest.(check string) "idle plane: fingerprint identical" fp_off fp_on
 
 (* --- the hardened stride API (input validation) --- *)
 
@@ -328,6 +534,10 @@ let test_stride_validation () =
 let suite =
   [
     qtest prop_differential;
+    qtest prop_lane_differential;
+    qtest prop_lane_concurrent;
+    ("lane and per-word words in one run", `Quick, test_lane_engages);
+    ("caches on: lane off, on ≡ off", `Quick, test_caches_disable_lane);
     ("coalescer engages on a word stream", `Quick, test_coalescer_engages);
     ("coalesce:false never engages", `Quick, test_disabled_never_engages);
     ("epoch bumps on every invalidation hook", `Quick, test_epoch_bumps);

@@ -35,6 +35,50 @@ let test_join_finished_thread () =
       Api.join tid)
   |> ignore
 
+(* A finished thread leaves the kernel's table; joining it must still
+   complete at once, and at no simulated cost. *)
+let test_join_after_finish_is_free () =
+  let waited = ref (-1) in
+  run (fun () ->
+      let tid = Api.spawn ~proc:1 (fun () -> Api.compute 1_000) in
+      Api.compute 10_000_000;
+      let t0 = Api.now () in
+      Api.join tid;
+      Api.join tid;
+      waited := Api.now () - t0)
+  |> ignore;
+  Alcotest.(check int) "joining a finished thread costs nothing" 0 !waited
+
+let test_join_unknown_tid_raises () =
+  let seen = ref [] in
+  run (fun () ->
+      let mine = Api.self () in
+      List.iter
+        (fun tid ->
+          match Api.join tid with
+          | () -> seen := "joined" :: !seen
+          | exception Invalid_argument msg -> seen := msg :: !seen)
+        [ mine + 1000; -1 ])
+  |> ignore;
+  Alcotest.(check (list string))
+    "never-created tids are rejected"
+    [ "Kernel: unknown thread -1"; "Kernel: unknown thread 1000" ]
+    !seen
+
+(* A server-shaped loop: spawn a worker per request, join it later, long
+   after most have finished. *)
+let test_spawn_many_join_all () =
+  let n = 2_000 in
+  let done_ = Array.make n false in
+  run ~nprocs:4 (fun () ->
+      let tids = List.init n (fun i -> Api.spawn (fun () -> done_.(i) <- true)) in
+      Api.compute 1_000_000;
+      List.iter Api.join tids;
+      List.iter Api.join tids)
+  |> ignore;
+  Alcotest.(check bool) "every worker ran and every join completed" true
+    (Array.for_all Fun.id done_)
+
 let test_many_threads () =
   let hits = Array.make 16 0 in
   run ~nprocs:8 (fun () ->
@@ -502,6 +546,9 @@ let suite =
   [
     ("threads: spawn and join", `Quick, test_spawn_join);
     ("threads: join finished thread", `Quick, test_join_finished_thread);
+    ("threads: join after finish is free", `Quick, test_join_after_finish_is_free);
+    ("threads: join of an unknown tid raises", `Quick, test_join_unknown_tid_raises);
+    ("threads: spawn many, join all", `Quick, test_spawn_many_join_all);
     ("threads: many threads", `Quick, test_many_threads);
     ("threads: self and my_proc", `Quick, test_self_and_proc);
     ("threads: compute advances the clock", `Quick, test_compute_advances_clock);

@@ -104,6 +104,30 @@ let test_module_utilization () =
   ignore (Memmodule.acquire m ~arrival:0 ~service:250);
   Alcotest.(check (float 1e-9)) "25% of 1000" 0.25 (Memmodule.utilization m ~horizon:1000)
 
+(* A contiguous run booked once leaves the module exactly as its words
+   acquired one by one do: each later word arrives as the previous
+   service ends. *)
+let prop_module_run_identity =
+  QCheck.Test.make ~name:"acquire_run = k contiguous acquires" ~count:300
+    QCheck.(triple (int_bound 1000) (int_bound 1000) (pair (int_range 1 50) (int_range 1 500)))
+    (fun (busy, arrival, (k, per)) ->
+      let one = Memmodule.create 0 and many = Memmodule.create 0 in
+      List.iter (fun m -> ignore (Memmodule.acquire m ~arrival:0 ~service:busy)) [ one; many ];
+      let s_run = Memmodule.acquire_run one ~arrival ~service:(k * per) ~requests:k in
+      let now = ref arrival and s_first = ref (-1) in
+      for _ = 1 to k do
+        let s = Memmodule.acquire many ~arrival:!now ~service:per in
+        if !s_first < 0 then s_first := s;
+        now := s + per
+      done;
+      let stats m =
+        ( Memmodule.busy_until m,
+          Memmodule.total_busy_ns m,
+          Memmodule.total_wait_ns m,
+          Memmodule.requests m )
+      in
+      s_run = !s_first && stats one = stats many)
+
 (* --- Xbar --- *)
 
 let config = Config.butterfly_plus ()
@@ -225,6 +249,7 @@ let suite =
     ("memmodule: idle gap", `Quick, test_module_idle_gap);
     ("memmodule: reservation", `Quick, test_module_reserve);
     ("memmodule: utilization", `Quick, test_module_utilization);
+    qtest prop_module_run_identity;
     ("xbar: local read", `Quick, test_xbar_local_read);
     ("xbar: remote read", `Quick, test_xbar_remote_read);
     ("xbar: remote write faster", `Quick, test_xbar_remote_write_faster);

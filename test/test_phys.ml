@@ -163,24 +163,31 @@ let test_it_double_free () =
     (fun () -> IT.free t f)
 
 (* Random alloc/free sequences keep the table consistent with a model. *)
+(* The model includes the frame each allocation picks: frames are handed
+   out in index order, and a freed frame is reused first (most recently
+   freed first) — physical placement, and so every golden, depends on it. *)
 let prop_it_model =
   QCheck.Test.make ~name:"inverted table agrees with a model" ~count:100
     QCheck.(list (pair bool (int_bound 20)))
     (fun ops ->
       let t = IT.create ~mem_module:0 ~frames:8 ~page_words:2 in
       let model = Hashtbl.create 8 in
+      let free = ref (List.init 8 Fun.id) in
       List.for_all
         (fun (is_alloc, cpage) ->
           if is_alloc && not (Hashtbl.mem model cpage) then (
-            match IT.alloc t ~cpage with
-            | Some f ->
+            match IT.alloc t ~cpage, !free with
+            | Some f, i :: rest ->
               Hashtbl.replace model cpage f;
-              IT.lookup t ~cpage = Some f
-            | None -> Hashtbl.length model = 8)
+              free := rest;
+              Frame.index f = i && IT.lookup t ~cpage = Some f
+            | None, [] -> Hashtbl.length model = 8
+            | _ -> false)
           else if (not is_alloc) && Hashtbl.mem model cpage then (
             let f = Hashtbl.find model cpage in
             IT.free t f;
             Hashtbl.remove model cpage;
+            free := Frame.index f :: !free;
             IT.lookup t ~cpage = None)
           else true)
         ops
