@@ -87,6 +87,11 @@ let gate what ok =
   check_shape what ok;
   if not ok then failed := true
 
+(* An informational check: reported, never failing — for comparisons
+   whose margin depends on the problem size rather than on the model. *)
+let info what holds =
+  Printf.printf "  [INFO] %s: %s\n%!" what (if holds then "holds" else "does not hold")
+
 let exit_if_failed msg =
   if !failed then begin
     Printf.printf "%s\n%!" msg;

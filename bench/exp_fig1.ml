@@ -71,14 +71,17 @@ let run (scale : scale) =
       \ real Butterfly came from switch blocking under scattered traffic, which this\n\
       \ model's FIFO-per-module contention underestimates; its *absolute* times show\n\
       \ what coherent memory buys.)\n";
-    check_shape "message passing >= PLATINUM (paper: 15.3 vs 13.5)" (ss >= sp -. 0.5);
-    check_shape
+    (* Both gates compare simulated, deterministic times, so they cannot
+       flake; the paper-size comparison only informs. *)
+    gate "message passing >= PLATINUM (paper: 15.3 vs 13.5)" (ss >= sp -. 0.5);
+    gate
       (Printf.sprintf "PLATINUM %.1fx faster than the Uniform System in absolute time"
          (float_of_int tu /. float_of_int tp))
       (tp < tu);
     if scale.full then
-      check_shape "PLATINUM within ~10%% of hand-tuned message passing (paper: 13.5/15.3)"
+      info "PLATINUM within ~10%% of hand-tuned message passing (paper: 13.5/15.3)"
         (sp >= 0.85 *. ss)
     else
       Printf.printf "  (run with --full for the paper-size 800x800 comparison)\n"
-  | _ -> ())
+  | _ -> ());
+  exit_if_failed "FIG1_FAIL: a Figure 1 speedup-shape gate missed"

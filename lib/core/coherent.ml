@@ -728,12 +728,13 @@ let rmw_word t ~now ~proc ~cmap ~vaddr f =
   (old, t.scratch.s_latency)
 
 let block_read t ~now ~proc ~cmap ~vaddr ~len =
-  match submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; len }) with
-  | Memtxn.Words out, lat -> (out, lat)
-  | _ -> assert false
+  let dst = Array.make (max len 0) 0 in
+  (dst, snd (submit t ~now ~proc ~cmap (Memtxn.Block_read { vaddr; len; dst; dst_off = 0 })))
 
 let block_write t ~now ~proc ~cmap ~vaddr data =
-  snd (submit t ~now ~proc ~cmap (Memtxn.Block_write { vaddr; data }))
+  snd
+    (submit t ~now ~proc ~cmap
+       (Memtxn.Block_write { vaddr; data; src_off = 0; len = Array.length data }))
 
 let set_probe t probe = t.probe <- probe
 let set_freeze_hook t hook = t.freeze_hook <- hook

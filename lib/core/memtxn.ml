@@ -2,15 +2,28 @@ type t =
   | Read of { vaddr : int }
   | Write of { vaddr : int; value : int }
   | Rmw of { vaddr : int; f : int -> int }
-  | Block_read of { vaddr : int; len : int }
-  | Block_write of { vaddr : int; data : int array }
-  | Stride_read of { vaddr : int; count : int; elem_words : int; stride : int }
-  | Stride_write of { vaddr : int; data : int array; count : int; elem_words : int; stride : int }
+  | Block_read of { vaddr : int; len : int; dst : int array; dst_off : int }
+  | Block_write of { vaddr : int; data : int array; src_off : int; len : int }
+  | Stride_read of {
+      vaddr : int;
+      count : int;
+      elem_words : int;
+      stride : int;
+      dst : int array;
+      dst_off : int;
+    }
+  | Stride_write of {
+      vaddr : int;
+      data : int array;
+      src_off : int;
+      count : int;
+      elem_words : int;
+      stride : int;
+    }
 
 type result =
   | Unit
   | Word of int
-  | Words of int array
 
 type kind =
   | Load
@@ -26,26 +39,36 @@ let is_write txn = kind txn <> Load
 
 let data_words = function
   | Read _ | Write _ | Rmw _ -> 1
-  | Block_read { len; _ } -> max len 0
-  | Block_write { data; _ } -> Array.length data
-  | Stride_read { count; elem_words; _ } -> max (count * elem_words) 0
-  | Stride_write { data; _ } -> Array.length data
+  | Block_read { len; _ } | Block_write { len; _ } -> max len 0
+  | Stride_read { count; elem_words; _ } | Stride_write { count; elem_words; _ } ->
+    max (count * elem_words) 0
 
 let validate_stride ~what ~count ~elem_words ~stride =
   if count < 0 then invalid_arg (what ^ ": negative element count");
   if elem_words < 1 then invalid_arg (what ^ ": elements must be at least one word");
   if stride < elem_words then invalid_arg (what ^ ": stride overlaps elements")
 
+(* The caller's buffer must hold [words] words from [off]. *)
+let validate_buffer ~what buf ~off ~words =
+  if off < 0 || off > Array.length buf - words then
+    invalid_arg
+      (Printf.sprintf "%s: %d words at offset %d overrun a buffer of %d" what words off
+         (Array.length buf))
+
 let validate = function
   | Read _ | Write _ | Rmw _ -> ()
-  | Block_read { len; _ } -> if len < 0 then invalid_arg "Memtxn: negative length"
-  | Block_write _ -> ()
-  | Stride_read { count; elem_words; stride; _ } ->
-    validate_stride ~what:"Memtxn.Stride_read" ~count ~elem_words ~stride
-  | Stride_write { data; count; elem_words; stride; _ } ->
+  | Block_read { len; dst; dst_off; _ } ->
+    if len < 0 then invalid_arg "Memtxn: negative length";
+    validate_buffer ~what:"Memtxn.Block_read" dst ~off:dst_off ~words:len
+  | Block_write { data; src_off; len; _ } ->
+    if len < 0 then invalid_arg "Memtxn: negative length";
+    validate_buffer ~what:"Memtxn.Block_write" data ~off:src_off ~words:len
+  | Stride_read { count; elem_words; stride; dst; dst_off; _ } ->
+    validate_stride ~what:"Memtxn.Stride_read" ~count ~elem_words ~stride;
+    validate_buffer ~what:"Memtxn.Stride_read" dst ~off:dst_off ~words:(count * elem_words)
+  | Stride_write { data; src_off; count; elem_words; stride; _ } ->
     validate_stride ~what:"Memtxn.Stride_write" ~count ~elem_words ~stride;
-    if Array.length data <> count * elem_words then
-      invalid_arg "Memtxn.Stride_write: data length is not count * elem_words"
+    validate_buffer ~what:"Memtxn.Stride_write" data ~off:src_off ~words:(count * elem_words)
 
 type chunk = {
   mutable c_vaddr : int;
@@ -87,13 +110,12 @@ let iter_chunks ?scratch ~page_words txn f =
     ch.c_index <- 0;
     ch.c_words <- 1;
     f ch
-  | Block_read { vaddr; len } -> iter_run ~page_words ~vaddr ~index:0 ~words:(max len 0) ch f
-  | Block_write { vaddr; data } ->
-    iter_run ~page_words ~vaddr ~index:0 ~words:(Array.length data) ch f
-  | Stride_read { vaddr; count; elem_words; stride }
-  | Stride_write { vaddr; count; elem_words; stride; _ } ->
+  | Block_read { vaddr; len; dst_off = off; _ } | Block_write { vaddr; len; src_off = off; _ } ->
+    iter_run ~page_words ~vaddr ~index:off ~words:(max len 0) ch f
+  | Stride_read { vaddr; count; elem_words; stride; dst_off = off; _ }
+  | Stride_write { vaddr; count; elem_words; stride; src_off = off; _ } ->
     for k = 0 to count - 1 do
-      iter_run ~page_words ~vaddr:(vaddr + (k * stride)) ~index:(k * elem_words)
+      iter_run ~page_words ~vaddr:(vaddr + (k * stride)) ~index:(off + (k * elem_words))
         ~words:elem_words ch f
     done
 
@@ -122,7 +144,7 @@ let run ~page_words ~now ?scratch txn ~chunk_cost =
         s.s_word.(0) <- value;
         s.s_word
       | None -> [| value |])
-    | Block_read _ | Stride_read _ -> Array.make (data_words txn) 0
+    | Block_read { dst; _ } | Stride_read { dst; _ } -> dst
     | Block_write { data; _ } | Stride_write { data; _ } -> data
   in
   let lat = ref 0 in
@@ -130,9 +152,8 @@ let run ~page_words ~now ?scratch txn ~chunk_cost =
       lat := !lat + chunk_cost ~now:(now + !lat) ~data chunk);
   let result =
     match txn with
-    | Write _ | Block_write _ | Stride_write _ -> Unit
     | Read _ | Rmw _ -> Word data.(0)
-    | Block_read _ | Stride_read _ -> Words data
+    | Write _ | Block_read _ | Block_write _ | Stride_read _ | Stride_write _ -> Unit
   in
   (result, !lat)
 
@@ -140,10 +161,9 @@ let pp fmt = function
   | Read { vaddr } -> Format.fprintf fmt "read @%d" vaddr
   | Write { vaddr; value } -> Format.fprintf fmt "write @%d <- %d" vaddr value
   | Rmw { vaddr; _ } -> Format.fprintf fmt "rmw @%d" vaddr
-  | Block_read { vaddr; len } -> Format.fprintf fmt "block-read @%d x%d" vaddr len
-  | Block_write { vaddr; data } ->
-    Format.fprintf fmt "block-write @%d x%d" vaddr (Array.length data)
-  | Stride_read { vaddr; count; elem_words; stride } ->
+  | Block_read { vaddr; len; _ } -> Format.fprintf fmt "block-read @%d x%d" vaddr len
+  | Block_write { vaddr; len; _ } -> Format.fprintf fmt "block-write @%d x%d" vaddr len
+  | Stride_read { vaddr; count; elem_words; stride; _ } ->
     Format.fprintf fmt "stride-read @%d %dx%d step %d" vaddr count elem_words stride
   | Stride_write { vaddr; count; elem_words; stride; _ } ->
     Format.fprintf fmt "stride-write @%d %dx%d step %d" vaddr count elem_words stride

@@ -15,26 +15,47 @@
     charge.  Grouping words into one transaction changes how much host
     work the simulator does per simulated word, never the simulated time. *)
 
+(** Every multi-word descriptor names the caller-owned buffer its data
+    moves through, so a transfer allocates no data array of its own.
+    Reads fill [dst]; on a raised error the contents of [dst] are
+    unspecified. *)
 type t =
   | Read of { vaddr : int }  (** one 32-bit word *)
   | Write of { vaddr : int; value : int }
   | Rmw of { vaddr : int; f : int -> int }
       (** atomic read-modify-write; the result carries the old value *)
-  | Block_read of { vaddr : int; len : int }
+  | Block_read of { vaddr : int; len : int; dst : int array; dst_off : int }
       (** [len] consecutive words (a hardware block transfer: bypasses the
-          per-processor word caches) *)
-  | Block_write of { vaddr : int; data : int array }
-  | Stride_read of { vaddr : int; count : int; elem_words : int; stride : int }
+          per-processor word caches), stored into [dst.(dst_off ..
+          dst_off + len - 1)] *)
+  | Block_write of { vaddr : int; data : int array; src_off : int; len : int }
+      (** [len] consecutive words taken from [data.(src_off ..)] *)
+  | Stride_read of {
+      vaddr : int;
+      count : int;
+      elem_words : int;
+      stride : int;
+      dst : int array;
+      dst_off : int;
+    }
       (** [count] elements of [elem_words] consecutive words each, the
           k-th starting at [vaddr + k*stride]; charged like a block
-          transfer over each contiguous run *)
-  | Stride_write of { vaddr : int; data : int array; count : int; elem_words : int; stride : int }
-      (** element [k] is [data.(k*elem_words .. (k+1)*elem_words - 1)] *)
+          transfer over each contiguous run.  Element [k] lands at
+          [dst.(dst_off + k*elem_words ..)]. *)
+  | Stride_write of {
+      vaddr : int;
+      data : int array;
+      src_off : int;
+      count : int;
+      elem_words : int;
+      stride : int;
+    }
+      (** element [k] is [data.(src_off + k*elem_words ..
+          src_off + (k+1)*elem_words - 1)] *)
 
 type result =
-  | Unit
+  | Unit  (** writes and block/strided reads (the data is in [dst]) *)
   | Word of int  (** [Read]: the value; [Rmw]: the old value *)
-  | Words of int array  (** [Block_read] / [Stride_read] *)
 
 type kind =
   | Load
@@ -51,7 +72,8 @@ val data_words : t -> int
 val validate : t -> unit
 (** Raises [Invalid_argument] on malformed shapes: negative lengths,
     [elem_words < 1], overlapping stride elements ([stride < elem_words]),
-    or a strided write whose [data] length is not [count * elem_words]. *)
+    or a buffer range ([dst]/[dst_off] or [data]/[src_off]) that does not
+    hold the words the transaction moves. *)
 
 (** A maximal run of consecutive words that stays inside one page — the
     unit a backend translates and charges as a whole.  Generalizes the old
@@ -62,7 +84,9 @@ val validate : t -> unit
     record. *)
 type chunk = {
   mutable c_vaddr : int;  (** first word address of the run *)
-  mutable c_index : int;  (** position of the run in the transaction's data array *)
+  mutable c_index : int;
+      (** position of the run in the transaction's buffer ([dst] or
+          [data]); the first chunk starts at the descriptor's offset *)
   mutable c_words : int;  (** length of the run *)
 }
 
@@ -91,12 +115,14 @@ val run :
   t ->
   chunk_cost:(now:int -> data:int array -> chunk -> int) ->
   result * int
-(** The shared cost-accounting loop.  Validates the transaction, allocates
-    the result buffer, and calls [chunk_cost] once per chunk with the time
-    at which that chunk begins ([now] plus the latency of every earlier
-    chunk); [chunk_cost] performs the data movement against [data] (reads
-    fill [data.(c_index ..)], writes consume it, an [Rmw] leaves the old
-    value in [data.(0)]) and returns the chunk's latency.  Returns the
-    assembled result and the total latency. *)
+(** The shared cost-accounting loop.  Validates the transaction and calls
+    [chunk_cost] once per chunk with the time at which that chunk begins
+    ([now] plus the latency of every earlier chunk); [chunk_cost] performs
+    the data movement against [data] and returns the chunk's latency.
+    [data] is the descriptor's own buffer — [dst] for reads, which
+    [chunk_cost] fills at [data.(c_index ..)], [data] for writes, which it
+    consumes — or, for word transactions, a one-word buffer (an [Rmw]
+    leaves the old value in [data.(0)]).  Allocates no data buffer.
+    Returns the result and the total latency. *)
 
 val pp : Format.formatter -> t -> unit

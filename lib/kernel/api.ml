@@ -7,11 +7,6 @@ let word txn =
   | Memtxn.Word v -> v
   | _ -> assert false
 
-let words txn =
-  match access txn with
-  | Memtxn.Words a -> a
-  | _ -> assert false
-
 (* The word operations probe the coalescing fast path first (DESIGN.md
    §4g): while the kernel has armed the current fiber and the access is a
    clean micro-ATC hit, it completes inline — no effect, no suspend — and
@@ -30,8 +25,19 @@ let write vaddr value =
 let rmw vaddr f =
   let c = Fastpath.ctx () in
   if Fastpath.try_rmw c vaddr f then Fastpath.value c else word (Memtxn.Rmw { vaddr; f })
-let block_read vaddr len = words (Memtxn.Block_read { vaddr; len })
-let block_write vaddr data = ignore (access (Memtxn.Block_write { vaddr; data }))
+
+let block_read_into ~dst ~dst_off vaddr len =
+  ignore (access (Memtxn.Block_read { vaddr; len; dst; dst_off }))
+
+let block_write_from ~src ~src_off vaddr len =
+  ignore (access (Memtxn.Block_write { vaddr; data = src; src_off; len }))
+
+let block_read vaddr len =
+  let dst = Array.make (max len 0) 0 in
+  block_read_into ~dst ~dst_off:0 vaddr len;
+  dst
+
+let block_write vaddr data = block_write_from ~src:data ~src_off:0 vaddr (Array.length data)
 let read_array = block_read
 let write_array = block_write
 
@@ -39,7 +45,9 @@ let read_stride ?(elem_words = 1) vaddr ~count ~stride =
   if elem_words <= 0 then
     invalid_arg (Printf.sprintf "read_stride: elem_words %d must be positive" elem_words);
   if count < 0 then invalid_arg (Printf.sprintf "read_stride: negative count %d" count);
-  words (Memtxn.Stride_read { vaddr; count; elem_words; stride })
+  let dst = Array.make (count * elem_words) 0 in
+  ignore (access (Memtxn.Stride_read { vaddr; count; elem_words; stride; dst; dst_off = 0 }));
+  dst
 
 let write_stride ?(elem_words = 1) vaddr ~stride data =
   if elem_words <= 0 then
@@ -51,7 +59,7 @@ let write_stride ?(elem_words = 1) vaddr ~stride data =
       (Printf.sprintf "write_stride: data length %d is not a multiple of elem_words %d"
          (Array.length data) elem_words);
   let count = Array.length data / elem_words in
-  ignore (access (Memtxn.Stride_write { vaddr; data; count; elem_words; stride }))
+  ignore (access (Memtxn.Stride_write { vaddr; data; src_off = 0; count; elem_words; stride }))
 let compute ns = if ns > 0 then Effect.perform (Eff.Compute ns)
 let now () = Effect.perform Eff.Now
 let sleep ns = if ns > 0 then Effect.perform (Eff.Sleep ns)

@@ -17,9 +17,28 @@ val rmw : int -> (int -> int) -> int
     atomic network operations — the basis of locks and event counts. *)
 
 val block_read : int -> int -> int array
-(** [block_read vaddr len] reads [len] consecutive words. *)
+(** [block_read vaddr len] reads [len] consecutive words into a fresh
+    array: {!block_read_into} on an array of its own. *)
 
 val block_write : int -> int array -> unit
+(** [block_write vaddr data] writes all of [data]: {!block_write_from}
+    from offset 0. *)
+
+val block_read_into : dst:int array -> dst_off:int -> int -> int -> unit
+(** [block_read_into ~dst ~dst_off vaddr len] reads [len] consecutive
+    words into [dst.(dst_off .. dst_off + len - 1)], a caller-owned buffer
+    that can be reused across transfers: the transfer itself allocates no
+    data array.  Simulated cost is identical to {!block_read} of the same
+    range.  Raises [Invalid_argument] in the calling thread, before
+    anything is charged, when [dst] does not hold [len] words from
+    [dst_off]; on any raised error the contents of [dst] are unspecified. *)
+
+val block_write_from : src:int array -> src_off:int -> int -> int -> unit
+(** [block_write_from ~src ~src_off vaddr len] writes
+    [src.(src_off .. src_off + len - 1)] to [len] consecutive words at
+    [vaddr].  Simulated cost is identical to {!block_write} of that
+    sub-array; the same range check as {!block_read_into} applies to
+    [src]. *)
 
 val read_array : int -> int -> int array
 (** Alias of {!block_read}, reads an array stored at an address. *)

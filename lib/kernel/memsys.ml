@@ -58,11 +58,3 @@ let rmw t ~now ~proc ~aspace ~vaddr f =
   match t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Rmw { vaddr; f }) with
   | Platinum_core.Memtxn.Word old, lat -> (old, lat)
   | _ -> assert false
-
-let block_read t ~now ~proc ~aspace ~vaddr ~len =
-  match t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Block_read { vaddr; len }) with
-  | Platinum_core.Memtxn.Words out, lat -> (out, lat)
-  | _ -> assert false
-
-let block_write t ~now ~proc ~aspace ~vaddr data =
-  snd (t.submit ~now ~proc ~aspace (Platinum_core.Memtxn.Block_write { vaddr; data }))

@@ -81,5 +81,3 @@ val write : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> int -> int
 val rmw : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> (int -> int) -> int * int
 (** atomic read-modify-write; returns (old value, latency) *)
 
-val block_read : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> len:int -> int array * int
-val block_write : t -> now:int -> proc:int -> aspace:int -> vaddr:int -> int array -> int

@@ -170,20 +170,26 @@ let ipi_delay pm ~src ~dst =
 let txn_page pm = function
   | Memtxn.Read { vaddr } | Memtxn.Write { vaddr; _ } | Memtxn.Rmw { vaddr; _ } ->
     Some (vaddr / pm.pw)
-  | Memtxn.Block_read { vaddr; len } ->
-    if len >= 1 && vaddr / pm.pw = (vaddr + len - 1) / pm.pw then Some (vaddr / pm.pw)
-    else None
-  | Memtxn.Block_write { vaddr; data } ->
-    let len = Array.length data in
+  | Memtxn.Block_read { vaddr; len; _ } | Memtxn.Block_write { vaddr; len; _ } ->
     if len >= 1 && vaddr / pm.pw = (vaddr + len - 1) / pm.pw then Some (vaddr / pm.pw)
     else None
   | Memtxn.Stride_read _ | Memtxn.Stride_write _ -> None
 
 let txn_words = Memtxn.data_words
 
+(* A block read fills the requester's [dst] here, so every caller runs on
+   the requester's own engine (the domain-safety argument: [dst] is only
+   ever written by events of the node whose thread owns it).  A loop over
+   [int array]s, not [Array.blit], which stores through the write barrier
+   when [dst] is in the major heap. *)
 let read_result pm arr page = function
   | Memtxn.Read { vaddr } -> Memtxn.Word arr.(vaddr - (page * pm.pw))
-  | Memtxn.Block_read { vaddr; len } -> Memtxn.Words (Array.sub arr (vaddr - (page * pm.pw)) len)
+  | Memtxn.Block_read { vaddr; len; dst; dst_off } ->
+    let base = vaddr - (page * pm.pw) in
+    for i = 0 to len - 1 do
+      dst.(dst_off + i) <- arr.(base + i)
+    done;
+    Memtxn.Unit
   | _ -> assert false
 
 (* --- home-side service --- *)
@@ -281,9 +287,11 @@ and apply_write pm h hp p =
       let old = hp.hdata.(vaddr - base) in
       hp.hdata.(vaddr - base) <- f old land word_mask;
       (Xbar.Rmw, 1, Memtxn.Word old)
-    | Memtxn.Block_write { vaddr; data } ->
-      Array.iteri (fun i v -> hp.hdata.(vaddr - base + i) <- v land word_mask) data;
-      (Xbar.Write, Array.length data, Memtxn.Unit)
+    | Memtxn.Block_write { vaddr; data; src_off; len } ->
+      for i = 0 to len - 1 do
+        hp.hdata.(vaddr - base + i) <- data.(src_off + i) land word_mask
+      done;
+      (Xbar.Write, len, Memtxn.Unit)
     | _ -> assert false
   in
   hp.hversion <- hp.hversion + 1;

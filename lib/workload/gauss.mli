@@ -49,4 +49,7 @@ val sequential : params -> int array array
 
 val value_mask : int
 val init_elem : params -> int -> int -> int
-val eliminate : row:int array -> piv:int array -> unit
+val eliminate : row:int array -> piv:int array -> k:int -> len:int -> unit
+(** [eliminate ~row ~piv ~k ~len] updates columns [k .. k + len - 1] of the
+    full-width [row] in place against the same columns of [piv]; column
+    [k] is the pivot column. *)

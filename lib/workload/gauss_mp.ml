@@ -66,52 +66,55 @@ let make p =
       if me = 0 then start_ns := Api.now ();
       (* Pivot slices arrive tagged with their round; out-of-order arrivals
          (a fast downstream owner can overtake a slow broadcast loop) are
-         parked until their round comes up. *)
+         parked until their round comes up.  The pivot and the row being
+         eliminated live in two full-width per-worker buffers. *)
+      let piv = Array.make n 0 and row = Array.make n 0 in
       let pending : (int, int array) Hashtbl.t = Hashtbl.create 8 in
       let rec obtain k =
         match Hashtbl.find_opt pending k with
-        | Some piv ->
+        | Some msg ->
           Hashtbl.remove pending k;
-          piv
+          msg
         | None ->
           let msg = Api.recv inboxes.(me) in
           let round = msg.(0) in
-          let piv = Array.sub msg 1 (Array.length msg - 1) in
-          if round = k then piv
+          if round = k then msg
           else begin
-            Hashtbl.replace pending round piv;
+            Hashtbl.replace pending round msg;
             obtain k
           end
       in
-      let broadcast k piv =
-        let msg = Array.make (Array.length piv + 1) k in
-        Array.blit piv 0 msg 1 (Array.length piv);
+      (* A message is its round followed by columns [col, n) of a row. *)
+      let broadcast k src ~col =
+        let msg = Array.make (n - col + 1) k in
+        Array.blit src col msg 1 (n - col);
         for d = 1 to nprocs - 1 do
           Api.send inboxes.((me + d) mod nprocs) msg
         done
       in
       (* Row 0 is ready as soon as initialization finishes. *)
-      if owner 0 = me && nprocs > 1 then broadcast 0 (Api.block_read rows.(0) n);
+      if owner 0 = me && nprocs > 1 then begin
+        Api.block_read_into ~dst:row ~dst_off:0 rows.(0) n;
+        broadcast 0 row ~col:0
+      end;
       for k = 0 to n - 2 do
-        let piv =
-          if owner k = me then Api.block_read (rows.(k) + k) (n - k)
-          else if nprocs = 1 then [||] (* unreachable: owner k = me always *)
-          else obtain k
-        in
-        (* The received slice may start at an earlier column than k (it was
-           broadcast when the sender finished updating it); realign. *)
-        let piv =
-          let extra = Array.length piv - (n - k) in
-          if extra > 0 then Array.sub piv extra (n - k) else piv
-        in
+        if owner k = me then Api.block_read_into ~dst:piv ~dst_off:k (rows.(k) + k) (n - k)
+        else begin
+          (* The received slice may start at an earlier column than k (it
+             was broadcast when the sender finished updating it); it lands
+             at its own columns. *)
+          let msg = obtain k in
+          let len = Array.length msg - 1 in
+          Array.blit msg 1 piv (n - len) len
+        end;
         let first = k + 1 + ((me - owner (k + 1) + nprocs) mod nprocs) in
         let r = ref first in
         while !r < n do
-          let row = Api.block_read (rows.(!r) + k) (n - k) in
-          Gauss.eliminate ~row ~piv;
+          Api.block_read_into ~dst:row ~dst_off:k (rows.(!r) + k) (n - k);
+          Gauss.eliminate ~row ~piv ~k ~len:(n - k);
           Api.compute ((n - k) * p.compute_ns_per_word);
-          Api.block_write (rows.(!r) + k) row;
-          if !r = k + 1 && !r <= n - 2 && nprocs > 1 then broadcast (k + 1) row;
+          Api.block_write_from ~src:row ~src_off:k (rows.(!r) + k) (n - k);
+          if !r = k + 1 && !r <= n - 2 && nprocs > 1 then broadcast (k + 1) row ~col:k;
           r := !r + nprocs
         done
       done;

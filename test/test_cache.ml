@@ -5,6 +5,7 @@ module Uma_sys = Platinum_cache.Uma_sys
 module Machine = Platinum_machine.Machine
 module Config = Platinum_machine.Config
 module Memsys = Platinum_kernel.Memsys
+module Memtxn = Platinum_core.Memtxn
 module Api = Platinum_kernel.Api
 module Runner = Platinum_runner.Runner
 
@@ -100,8 +101,13 @@ let test_uma_block_ops () =
   let _uma, ms = mk_uma () in
   let a = ms.Memsys.alloc ~zone:0 ~words:100 ~page_aligned:true in
   let data = Array.init 100 (fun i -> i * 2) in
-  ignore (Memsys.block_write ms ~aspace:0 ~now:0 ~proc:0 ~vaddr:a data);
-  let got, _ = Memsys.block_read ms ~aspace:0 ~now:1_000_000 ~proc:2 ~vaddr:a ~len:100 in
+  ignore
+    (ms.Memsys.submit ~aspace:0 ~now:0 ~proc:0
+       (Memtxn.Block_write { vaddr = a; data; src_off = 0; len = 100 }));
+  let got = Array.make 100 0 in
+  ignore
+    (ms.Memsys.submit ~aspace:0 ~now:1_000_000 ~proc:2
+       (Memtxn.Block_read { vaddr = a; len = 100; dst = got; dst_off = 0 }));
   Alcotest.(check (array int)) "block round trip" data got
 
 let test_uma_rmw () =
